@@ -143,35 +143,24 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 
-	if isQuery(formula) {
-		// With truncation on, the initial-distribution value can come from
-		// truncated forward sweeps alone; the dense all-states Values sweep
-		// would defeat the truncation the flag asked for. The per-state
-		// listing still needs the full sweep, so -states opts out.
-		if *truncate > 0 && !*states {
-			initVal, ok, err := checker.QueryInitial(formula)
-			if err != nil {
-				return 1, err
-			}
-			if ok {
-				fmt.Fprintf(out, "value from the initial distribution: %0.10f\n", initVal)
-				fmt.Fprintf(out, "per-state values: not computed (truncated run; pass -states to force the full sweep)\n")
-				printStats()
-				return 0, nil
-			}
-			fmt.Fprintf(out, "note: -truncate fast path does not apply to this formula shape; falling back to the dense all-states sweep\n")
+	// With -truncate the forward path answers top-level time-bounded
+	// P-untils from the initial states alone; the per-state listing needs
+	// the dense all-states sweep, so -states opts out of it.
+	res, err := checker.Evaluate(formula, *states)
+	if err != nil {
+		return 1, err
+	}
+	if *truncate > 0 && !*states && !res.Forward {
+		fmt.Fprintf(out, "note: -truncate fast path does not apply to this formula shape; falling back to the dense all-states sweep\n")
+	}
+	const skipped = "not computed (truncated run; pass -states to force the full sweep)"
+	if res.Query {
+		fmt.Fprintf(out, "value from the initial distribution: %0.10f\n", res.Value)
+		if res.Forward {
+			fmt.Fprintf(out, "per-state values: %s\n", skipped)
 		}
-		vals, err := checker.Values(formula)
-		if err != nil {
-			return 1, err
-		}
-		var initVal float64
-		for s, p := range m.InitView() {
-			initVal += p * vals[s]
-		}
-		fmt.Fprintf(out, "value from the initial distribution: %0.10f\n", initVal)
 		if *states {
-			for s, v := range vals {
+			for s, v := range res.Values {
 				fmt.Fprintf(out, "  %-30s %0.10f\n", m.Name(s), v)
 			}
 		}
@@ -179,58 +168,25 @@ func run(args []string, out io.Writer) (int, error) {
 		return 0, nil
 	}
 
-	// With truncation on, Check can answer for the initial states by
-	// forward sweeps over the active window alone; the full satisfying-state
-	// listing would force the dense all-states computation truncation is
-	// there to avoid, so it is only produced when -states demands it.
-	if *truncate > 0 && !*states {
-		holds, err := checker.Check(formula)
-		if err != nil {
-			return 1, err
-		}
-		fmt.Fprintf(out, "satisfying states: not computed (truncated run; pass -states to force the full sweep)\n")
-		fmt.Fprintf(out, "holds in the initial state(s): %v\n", holds)
-		printStats()
-		if !holds {
-			return 2, nil
-		}
-		return 0, nil
+	if res.Forward {
+		fmt.Fprintf(out, "satisfying states: %s\n", skipped)
+	} else {
+		fmt.Fprintf(out, "satisfying states: %d of %d\n", res.Sat.Len(), m.N())
 	}
-
-	sat, err := checker.Sat(formula)
-	if err != nil {
-		return 1, err
-	}
-	holds, err := checker.Check(formula)
-	if err != nil {
-		return 1, err
-	}
-	fmt.Fprintf(out, "satisfying states: %d of %d\n", sat.Len(), m.N())
 	if *states {
 		for s := 0; s < m.N(); s++ {
 			verdict := "no"
-			if sat.Contains(s) {
+			if res.Sat.Contains(s) {
 				verdict = "YES"
 			}
 			fmt.Fprintf(out, "  %-30s %s\n", m.Name(s), verdict)
 		}
 	}
-	fmt.Fprintf(out, "holds in the initial state(s): %v\n", holds)
+	fmt.Fprintf(out, "holds in the initial state(s): %v\n", res.Holds)
 	printStats()
-	if !holds {
+	if !res.Holds {
 		// Distinguish "property fails" (2) from tool failure (1).
 		return 2, nil
 	}
 	return 0, nil
-}
-
-func isQuery(f logic.StateFormula) bool {
-	switch t := f.(type) {
-	case logic.Prob:
-		return t.Query
-	case logic.Steady:
-		return t.Query
-	default:
-		return false
-	}
 }

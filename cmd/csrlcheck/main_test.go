@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,6 +149,19 @@ func TestRunStatsBudget(t *testing.T) {
 				t.Errorf("expected ledger entry %q missing:\n%s", tc.ledger, text)
 			}
 		})
+	}
+	// A bounded formula computes Sat(Φ) once: one transient sweep, not a
+	// second one for the initial-state verdict.
+	var p1 bytes.Buffer
+	code, err := run([]string{"-model", path, "-stats", "P<0.5 [ !call_incoming U{t<=12} call_incoming ]"}, &p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2:\n%s", code, p1.String())
+	}
+	if !regexp.MustCompile(`\n\s*transient\.sweep\s+1 call\(s\)`).MatchString(p1.String()) {
+		t.Errorf("want transient.sweep 1 call(s):\n%s", p1.String())
 	}
 	// Without -stats the report must stay disabled.
 	var out bytes.Buffer

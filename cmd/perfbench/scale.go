@@ -194,7 +194,7 @@ func scaleMeasure(w io.Writer, n int, workers int) (*scaleReport, error) {
 	}
 
 	// The truncated leg's probability, through the same forward entry point
-	// the Check fast path uses.
+	// the forward path of Checker.Evaluate uses.
 	down := m.Label("down")
 	phi := down.Complement()
 	prob, err := transient.TimeBoundedUntilFrom(m, phi, down, m.InitialState(), scaleTimeBound, transient.Options{

@@ -31,7 +31,6 @@ import (
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/obs"
-	"github.com/performability/csrl/internal/parallel"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sparse"
 	"github.com/performability/csrl/internal/steady"
@@ -67,26 +66,21 @@ func (a Algorithm) String() string {
 	}
 }
 
-// LumpMode controls the automatic lumping pre-pass of the exported
-// checking entry points: before evaluating a formula, the checker computes
-// the ordinary-lumpability quotient respecting only the formula's atomic
-// propositions and evaluates on the quotient, lifting verdicts and
-// probabilities back through the block map. The zero value enables the
-// pre-pass, so existing Options literals pick it up automatically;
-// LumpOff restores direct evaluation on the full model.
+// LumpMode controls the automatic lumping pre-pass of Evaluate: before
+// evaluating a formula, the checker computes the ordinary-lumpability
+// quotient respecting only the formula's atomic propositions and evaluates
+// on the quotient, lifting verdicts and probabilities back through the
+// block map. The zero value enables the pre-pass, so existing Options
+// literals pick it up automatically; LumpOff restores direct evaluation on
+// the full model.
 type LumpMode int
 
 const (
 	// LumpAuto is the default: the pre-pass is enabled.
 	LumpAuto LumpMode = iota
-	// LumpOn enables the pre-pass explicitly (same behaviour as LumpAuto).
-	LumpOn
 	// LumpOff disables the pre-pass; formulas are checked on the full model.
 	LumpOff
 )
-
-// enabled reports whether the mode turns the pre-pass on.
-func (l LumpMode) enabled() bool { return l != LumpOff }
 
 // lumpMaxRounds caps the refinement rounds of the automatic pre-pass.
 // Refinement needs as many rounds as the distance over which rate
@@ -118,7 +112,7 @@ type Options struct {
 	// SteadyOff restores the full Fox–Glynn summation.
 	SteadyDetect transient.SteadyMode
 	// Lump controls the automatic formula-dependent lumping pre-pass of
-	// the exported entry points (see LumpMode). The zero value is on.
+	// Evaluate (see LumpMode). The zero value is on.
 	Lump LumpMode
 	// MemoCap bounds each of the checker memo's tables (reductions,
 	// uniformised matrices, Fox–Glynn tables, lump outcomes); the coldest
@@ -128,12 +122,11 @@ type Options struct {
 	MemoCap int
 	// Truncate, when positive, enables state-drop truncation in the
 	// forward uniformisation sweeps (see transient.Options.Truncate) and
-	// unlocks the initial-state fast path of Check for top-level
-	// time-bounded P-until formulas, which evaluates a forward sweep from
-	// the initial states instead of a backward sweep over all states. The
-	// dropped mass is charged to the truncation/state-drop ledger term
-	// inside Epsilon. Zero (the default) keeps every result bitwise
-	// unchanged.
+	// unlocks the forward path of Evaluate for top-level time-bounded
+	// P-until formulas, which sweeps forward from the initial states
+	// instead of backward over all states. The dropped mass is charged to
+	// the truncation/state-drop ledger term inside Epsilon. Zero (the
+	// default) keeps every result bitwise unchanged.
 	Truncate float64
 	// Solve configures the linear solver for unbounded until and
 	// steady-state computations.
@@ -254,34 +247,12 @@ func (c *Checker) NumericsReport() *obs.Report {
 	r.Gauge("pool.gets").Set(float64(ps.Gets))
 	r.Gauge("pool.reuses").Set(float64(ps.Reuses))
 	r.Gauge("pool.alloc_bytes").Set(float64(ps.AllocBytes))
-	// Process-wide like the worker pool it meters; 0 when every region
-	// ran inline (one effective worker or tiny ranges).
-	r.Gauge("parallel.chunks").Set(float64(parallel.ChunkCount()))
 	return r.Report(c.opts.Epsilon)
 }
 
-// Sat computes the satisfaction set Sat(Φ) by the bottom-up traversal of
-// the parse tree described in Section 3. Unless Options.Lump is off, a
-// lumping pre-pass first quotients the model with respect to the formula's
-// atomic propositions (lumpFor) and the traversal runs on the quotient;
-// the returned set is lifted back to the original states.
-func (c *Checker) Sat(f logic.StateFormula) (*mrm.StateSet, error) {
-	q, lr, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return nil, err
-	}
-	sat, err := q.sat(f)
-	if err != nil {
-		return nil, err
-	}
-	if lr == nil {
-		return sat, nil
-	}
-	return lr.LiftSet(sat), nil
-}
-
-// sat is the traversal body of Sat, running on this checker's own model
-// with no lumping indirection — the form every internal call site uses.
+// sat is the bottom-up traversal of Section 3 computing Sat(Φ) on this
+// checker's own model, with no lumping indirection — the form every
+// internal call site uses.
 func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 	n := c.m.N()
 	switch t := f.(type) {
@@ -367,179 +338,9 @@ func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 	}
 }
 
-// Check evaluates a bounded formula against the model's initial
-// distribution: it holds when every state with positive initial probability
-// satisfies it. The lumping pre-pass applies as in Sat; no lift-back is
-// needed, because a block carries positive initial mass exactly when one of
-// its states does and inherits their common verdict.
-func (c *Checker) Check(f logic.StateFormula) (bool, error) {
-	q, _, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return false, err
-	}
-	return q.check(f)
-}
-
-// check is the body of Check on this checker's own model. With truncation
-// configured it first tries the initial-state fast path, which answers a
-// top-level time-bounded P-until from the initial states alone by forward
-// sweeps — without computing the satisfaction set of the whole space.
-func (c *Checker) check(f logic.StateFormula) (bool, error) {
-	holds, ok, err := c.checkInitFast(f)
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		return holds, nil
-	}
-	span := c.opts.Obs.StartSpan("core.sat")
-	sat, err := c.sat(f)
-	span.End()
-	if err != nil {
-		return false, err
-	}
-	for s, p := range c.m.InitView() {
-		if p > 0 && !sat.Contains(s) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// checkInitFast answers Check for a top-level P▷◁b[Φ U^[0,t] Ψ] (reward
-// unbounded) when Options.Truncate is on: instead of one backward sweep
-// producing Pr_s(φ) for all n start states, it runs one truncated forward
-// sweep per positive-mass initial state via transient.TimeBoundedUntilFrom.
-// A forward iterate is a sub-distribution, which is what makes truncation
-// sound — and on models whose mass stays near the initial states, the
-// active window makes the sweep cost proportional to the window, not to n.
-// ok reports whether the fast path applied; when false, the caller falls
-// back to the satisfaction-set route.
-func (c *Checker) checkInitFast(f logic.StateFormula) (holds, ok bool, err error) {
-	p, u, ok := c.initFastShape(f)
-	if !ok || p.Query {
-		return false, false, nil
-	}
-	phi, err := c.sat(u.Left)
-	if err != nil {
-		return false, false, err
-	}
-	psi, err := c.sat(u.Right)
-	if err != nil {
-		return false, false, err
-	}
-	for s, alpha := range c.m.InitView() {
-		if alpha <= 0 {
-			continue
-		}
-		pr, err := transient.TimeBoundedUntilFrom(c.m, phi, psi, s, u.Time.Hi, c.transientOpts())
-		if err != nil {
-			return false, false, err
-		}
-		if p.Complement {
-			pr = 1 - pr
-		}
-		if !p.Op.Compare(pr, p.Bound) {
-			return false, true, nil
-		}
-	}
-	return true, true, nil
-}
-
-// initFastShape reports whether f is eligible for the truncated forward
-// fast paths (checkInitFast, QueryInitial): truncation must be on and f a
-// top-level P-formula over a time-bounded, reward-unbounded until whose
-// time interval starts at zero — the shape TimeBoundedUntilFrom computes
-// by forward sweeps over the active window.
-func (c *Checker) initFastShape(f logic.StateFormula) (logic.Prob, logic.Until, bool) {
-	if c.opts.Truncate <= 0 {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	p, isProb := f.(logic.Prob)
-	if !isProb {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	u, isUntil := p.Path.(logic.Until)
-	if !isUntil || !u.Time.Valid() || !u.Reward.Valid() {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	if u.Time.IsUnbounded() || !u.Time.StartsAtZero() || !u.Reward.IsUnbounded() {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	return p, u, true
-}
-
-// QueryInitial evaluates the numeric value of a P-formula from the initial
-// distribution alone: Σ_s α(s)·Pr_s(φ), the quantity a P=? query reports
-// for the initial state(s). When the truncated forward fast path applies
-// (see initFastShape) the value comes from one TimeBoundedUntilFrom sweep
-// per positive-mass initial state — cost proportional to the truncation
-// window, not to the state count — instead of the dense all-states Values
-// computation. ok reports whether the fast path applied; when false the
-// caller falls back to Values (and should say so, since the fallback
-// defeats the point of truncation).
-func (c *Checker) QueryInitial(f logic.StateFormula) (val float64, ok bool, err error) {
-	q, _, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return 0, false, err
-	}
-	return q.queryInitial(f)
-}
-
-// queryInitial is the body of QueryInitial on this checker's own model.
-// No lift-back is needed: the quotient's initial distribution carries each
-// block's aggregated mass and every state of a block shares its value, so
-// the α-weighted sum agrees with the full model's.
-func (c *Checker) queryInitial(f logic.StateFormula) (float64, bool, error) {
-	p, u, ok := c.initFastShape(f)
-	if !ok {
-		return 0, false, nil
-	}
-	phi, err := c.sat(u.Left)
-	if err != nil {
-		return 0, false, err
-	}
-	psi, err := c.sat(u.Right)
-	if err != nil {
-		return 0, false, err
-	}
-	var total float64
-	for s, alpha := range c.m.InitView() {
-		if alpha <= 0 {
-			continue
-		}
-		pr, err := transient.TimeBoundedUntilFrom(c.m, phi, psi, s, u.Time.Hi, c.transientOpts())
-		if err != nil {
-			return 0, false, err
-		}
-		if p.Complement {
-			pr = 1 - pr
-		}
-		total += alpha * pr
-	}
-	return total, true, nil
-}
-
-// Values returns the per-state numeric value behind a probabilistic or
-// steady-state formula: the path probability for P-formulas (query or
-// bounded — the bound is ignored) and the long-run probability for
-// S-formulas. Boolean-level formulas have no numeric value. The lumping
-// pre-pass applies as in Sat — every state of a block receives its block's
-// value — and the returned slice is a plain allocation owned by the caller.
-func (c *Checker) Values(f logic.StateFormula) ([]float64, error) {
-	q, lr, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return nil, err
-	}
-	vals, err := q.values(f)
-	if err != nil {
-		return nil, err
-	}
-	return q.liftOut(lr, vals), nil
-}
-
-// values is the body of Values on this checker's own model. The returned
-// buffer may be pool-borrowed; the caller puts it back.
+// values computes the per-state values of a top-level P- or S-formula on
+// this checker's own model (see Result.Values). The returned buffer may be
+// pool-borrowed; the caller puts it back.
 func (c *Checker) values(f logic.StateFormula) ([]float64, error) {
 	switch t := f.(type) {
 	case logic.Prob:
@@ -560,74 +361,8 @@ func (c *Checker) values(f logic.StateFormula) ([]float64, error) {
 	}
 }
 
-// PathProb returns Pr_s(φ) for every state s. The lumping pre-pass applies
-// as in Sat, respecting the atoms of the path formula's state subformulas.
-// The returned slice is a plain allocation owned by the caller: the
-// internal procedures hand back buffers borrowed from the checker's vector
-// pool, and this exported boundary copies (or lifts) them out and checks
-// the borrowed buffer back in, so callers outside the package never hold
-// (or leak) pooled memory.
-func (c *Checker) PathProb(f logic.PathFormula) ([]float64, error) {
-	q, lr, err := c.lumpFor(logic.PathAtoms(f))
-	if err != nil {
-		return nil, err
-	}
-	vals, err := q.pathProb(f)
-	if err != nil {
-		return nil, err
-	}
-	return q.liftOut(lr, vals), nil
-}
-
-// UntilProbBatch computes Pr_s(Φ U^{[0,t]}_{[0,r_i]} Ψ) for every state s
-// and a batch of reward bounds r_i sharing one time bound t. One Theorem 1
-// reduction serves the whole batch, and with the Sericola procedure every
-// bound advances through a single recursion over the memoised uniformised
-// matrix (untilTimeRewardBatch) — one matrix sweep for the lot instead of
-// one per bound. This is the admission surface a concurrent checker
-// service coalesces same-model queries onto: requests that differ only in
-// their reward bound ride one numerical computation. results[i] is
-// bitwise-identical to PathProb of the corresponding single until. The
-// lumping pre-pass applies as in Sat, and each returned slice is a plain
-// caller-owned allocation.
-func (c *Checker) UntilProbBatch(left, right logic.StateFormula, t float64, rs []float64) ([][]float64, error) {
-	if len(rs) == 0 {
-		return nil, fmt.Errorf("core: until batch: no reward bounds")
-	}
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("core: until batch: invalid time bound %v", t)
-	}
-	for _, r := range rs {
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("core: until batch: invalid reward bound %v", r)
-		}
-	}
-	atoms := append(logic.Atoms(left), logic.Atoms(right)...)
-	q, lr, err := c.lumpFor(atoms)
-	if err != nil {
-		return nil, err
-	}
-	phi, err := q.sat(left)
-	if err != nil {
-		return nil, err
-	}
-	psi, err := q.sat(right)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := q.untilTimeRewardBatch(phi, psi, t, rs)
-	if err != nil {
-		return nil, err
-	}
-	lifted := make([][]float64, len(outs))
-	for i, v := range outs {
-		lifted[i] = q.liftOut(lr, v)
-	}
-	return lifted, nil
-}
-
-// pathProb is the body of PathProb on this checker's own model. The
-// returned buffer may be pool-borrowed; the caller puts it back.
+// pathProb computes Pr_s(φ) for every state s of this checker's own
+// model. The returned buffer may be pool-borrowed; the caller puts it back.
 func (c *Checker) pathProb(f logic.PathFormula) ([]float64, error) {
 	switch t := f.(type) {
 	case logic.Next:
@@ -654,23 +389,10 @@ func (c *Checker) liftOut(lr *lump.Result, vals []float64) []float64 {
 	return out
 }
 
-// SteadyProb returns the long-run probability of residing in Sat(Φ) for
-// every start state. The lumping pre-pass applies as in Sat: ordinary
-// lumpability makes the block process Markov for every start state, so the
-// long-run fraction spent in a union of blocks lifts exactly.
-func (c *Checker) SteadyProb(f logic.StateFormula) ([]float64, error) {
-	q, lr, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return nil, err
-	}
-	vals, err := q.steadyProb(f)
-	if err != nil {
-		return nil, err
-	}
-	return q.liftOut(lr, vals), nil
-}
-
-// steadyProb is the body of SteadyProb on this checker's own model.
+// steadyProb returns the long-run probability of residing in Sat(Φ) for
+// every start state. Ordinary lumpability makes the block process Markov
+// for every start state, so on a quotient the long-run fraction spent in a
+// union of blocks lifts exactly.
 func (c *Checker) steadyProb(f logic.StateFormula) ([]float64, error) {
 	sat, err := c.sat(f)
 	if err != nil {
@@ -687,7 +409,7 @@ func (c *Checker) steadyProb(f logic.StateFormula) ([]float64, error) {
 // the same propositions; the quotient sub-checker owns its own memo and
 // pool, keyed to the quotient model, and shares the Obs recorder.
 func (c *Checker) lumpFor(atoms []string) (*Checker, *lump.Result, error) {
-	if !c.opts.Lump.enabled() || c.memo == nil || c.m.HasImpulses() {
+	if c.opts.Lump == LumpOff || c.memo == nil || c.m.HasImpulses() {
 		return c, nil, nil
 	}
 	sort.Strings(atoms)

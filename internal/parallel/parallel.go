@@ -14,7 +14,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Resolve maps a Workers option value to an effective worker count:
@@ -33,18 +32,7 @@ func Resolve(workers int) int {
 var (
 	startOnce sync.Once
 	queue     chan func()
-	// chunks counts every task dispatched by a multi-task Do — the
-	// work-partition dimension the observability layer reports. Global
-	// and monotonic like the pool itself; consumers snapshot it into a
-	// gauge (inline single-task runs are not parallel chunks and are not
-	// counted).
-	chunks atomic.Int64
 )
-
-// ChunkCount returns the cumulative number of tasks dispatched by
-// multi-task Do calls across the process, including tasks that ran
-// inline on the caller because the queue was full.
-func ChunkCount() int64 { return chunks.Load() }
 
 func start() {
 	n := runtime.NumCPU()
@@ -71,7 +59,6 @@ func Do(tasks ...func()) {
 		tasks[0]()
 		return
 	}
-	chunks.Add(int64(len(tasks)))
 	startOnce.Do(start)
 	var wg sync.WaitGroup
 	// Keep the last task for the caller: it would otherwise idle in Wait.

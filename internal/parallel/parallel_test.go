@@ -133,15 +133,3 @@ func TestConcurrentDoCallers(t *testing.T) {
 		t.Fatalf("concurrent callers covered %d indices, want %d", total, 8*500)
 	}
 }
-
-func TestChunkCountMetersMultiTaskDo(t *testing.T) {
-	before := ChunkCount()
-	Do(func() {}) // single task runs inline, not a parallel chunk
-	if got := ChunkCount(); got != before {
-		t.Errorf("single-task Do counted as chunks: %d -> %d", before, got)
-	}
-	Do(func() {}, func() {}, func() {})
-	if got := ChunkCount(); got != before+3 {
-		t.Errorf("ChunkCount = %d after 3-task Do, want %d", got, before+3)
-	}
-}

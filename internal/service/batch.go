@@ -1,21 +1,20 @@
 // Batched admission: concurrent queries against the same model that share
-// an until shape — same Φ, Ψ and time bound, differing only in the reward
-// bound — are coalesced onto one Checker.UntilProbBatch call. The batch
-// kernels (PR 7) evaluate g reward columns through one Sericola recursion
-// over the memoised uniformised matrix, bitwise-identically to g separate
-// runs, so coalescing changes latency and cost but never answers.
+// a core.GroupKey — same Φ, Ψ and time bound, differing only in the reward
+// bound and the P operator — are coalesced onto one
+// Checker.EvaluateGroup call. The batch kernels evaluate g reward columns
+// through one Sericola recursion over the memoised uniformised matrix,
+// bitwise-identically to g separate runs, so coalescing changes latency
+// and cost but never answers.
 //
 // The mechanism is a short admission window: the first query of a group
 // opens it, companions arriving within it join, and when the timer fires
 // the whole group is computed once and every member receives its own
-// column. Requests whose formula shape the batch kernels don't cover
-// bypass admission entirely.
+// Result. Formulas without a group key bypass admission entirely.
 
 package service
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,27 +23,16 @@ import (
 	"github.com/performability/csrl/internal/obs"
 )
 
-// groupKey identifies queries that may share one batch: same bounded-until
-// skeleton up to the reward bound. The formulas are keyed by their
-// canonical String() rendering — the parser and printer round-trip, so
-// syntactically different spellings of the same subformula coalesce iff
-// they print the same.
-type groupKey struct {
-	left, right string
-	t           float64
-}
-
 // pending is one admitted query waiting for its group to fire.
 type pending struct {
-	r  float64
+	f  logic.StateFormula
 	ch chan batchResult
 }
 
-// batchResult is what one group member receives: its own copy of the
-// per-state probability column, the group's shared numerics report, and
-// the group size.
+// batchResult is what one group member receives: its own Result, the
+// group's shared numerics report, and the group size.
 type batchResult struct {
-	vals   []float64
+	res    *core.Result
 	report *obs.Report
 	size   int
 	err    error
@@ -56,7 +44,7 @@ type batcher struct {
 	window  time.Duration
 
 	mu     sync.Mutex
-	groups map[groupKey]*group // guarded by mu
+	groups map[core.GroupKey][]pending // open windows, guarded by mu
 
 	// stats, guarded by mu
 	batches   int64 // groups fired
@@ -64,37 +52,28 @@ type batcher struct {
 	maxBatch  int64
 }
 
-// group is one open admission window.
-type group struct {
-	u       logic.Until // parsed formulas of the first member (all members agree up to String())
-	members []pending
-}
-
 func newBatcher(c *core.Checker, window time.Duration) *batcher {
-	return &batcher{checker: c, window: window, groups: make(map[groupKey]*group)}
+	return &batcher{checker: c, window: window, groups: make(map[core.GroupKey][]pending)}
 }
 
-// admit submits one eligible query and blocks until its batch fires,
-// returning the member's own column of until probabilities (the P
-// operator's bound/complement are the caller's to apply). With batching
-// disabled (negative window) the query runs alone immediately.
-func (b *batcher) admit(p logic.Prob, u logic.Until) (batchResult, error) {
+// admit submits f, whose group key is key, and blocks until its batch
+// fires. With batching disabled (negative window) the query runs alone
+// immediately.
+func (b *batcher) admit(key core.GroupKey, f logic.StateFormula) (batchResult, error) {
 	if b.window < 0 {
-		return b.fire(u, []pending{{r: u.Reward.Hi}})[0], nil
+		res := b.fire([]pending{{f: f}})[0]
+		return res, res.err
 	}
-	key := groupKey{left: u.Left.String(), right: u.Right.String(), t: u.Time.Hi}
 	ch := make(chan batchResult, 1)
 
 	b.mu.Lock()
-	g, open := b.groups[key]
+	members, open := b.groups[key]
 	if !open {
-		g = &group{u: u}
-		b.groups[key] = g
 		// The window timer closes the group; members joining after close
 		// start a fresh one.
 		time.AfterFunc(b.window, func() { b.close(key) })
 	}
-	g.members = append(g.members, pending{r: u.Reward.Hi, ch: ch})
+	b.groups[key] = append(members, pending{f: f, ch: ch})
 	b.mu.Unlock()
 
 	res := <-ch
@@ -103,46 +82,27 @@ func (b *batcher) admit(p logic.Prob, u logic.Until) (batchResult, error) {
 
 // close detaches the group and fires it. Runs on the timer goroutine, so
 // a slow batch never blocks admission of the next window.
-func (b *batcher) close(key groupKey) {
+func (b *batcher) close(key core.GroupKey) {
 	b.mu.Lock()
-	g := b.groups[key]
+	members := b.groups[key]
 	delete(b.groups, key)
 	b.mu.Unlock()
-	if g == nil {
-		return
-	}
-	results := b.fire(g.u, g.members)
-	for i, m := range g.members {
-		m.ch <- results[i]
+	for i, res := range b.fire(members) {
+		members[i].ch <- res
 	}
 }
 
-// fire evaluates one group: deduplicate the reward bounds, run the batch
-// under a recorder shared by the group (the members share the computation,
-// so they share its ledger — each gets a pointer to the one report), and
-// hand every member a private copy of its column.
-func (b *batcher) fire(u logic.Until, members []pending) []batchResult {
-	// Deduplicate and SORT the reward bounds: members arrive in scheduler
-	// order, and an order-dependent rs slice would give the same logical
-	// batch a different memo key on every wave — re-deriving work the
-	// cache already holds.
-	col := make(map[float64]int, len(members)) // reward bound -> batch column
-	for _, m := range members {
-		col[m.r] = 0
+// fire evaluates one group under a recorder shared by the group: the
+// members share the computation, so they share its ledger, and each gets a
+// pointer to the one report.
+func (b *batcher) fire(members []pending) []batchResult {
+	fs := make([]logic.StateFormula, len(members))
+	for i, m := range members {
+		fs[i] = m.f
 	}
-	rs := make([]float64, 0, len(col))
-	for r := range col {
-		rs = append(rs, r)
-	}
-	sort.Float64s(rs)
-	for i, r := range rs {
-		col[r] = i
-	}
-
-	rec := obs.New()
-	view := b.checker.WithRecorder(rec)
+	view := b.checker.WithRecorder(obs.New())
 	out := make([]batchResult, len(members))
-	cols, err := view.UntilProbBatch(u.Left, u.Right, u.Time.Hi, rs)
+	results, err := view.EvaluateGroup(fs)
 	if err != nil {
 		err = fmt.Errorf("batched until (%d members): %w", len(members), err)
 		for i := range out {
@@ -151,11 +111,8 @@ func (b *batcher) fire(u logic.Until, members []pending) []batchResult {
 		return out
 	}
 	rep := view.NumericsReport()
-
-	for i, m := range members {
-		vals := make([]float64, len(cols[col[m.r]]))
-		copy(vals, cols[col[m.r]])
-		out[i] = batchResult{vals: vals, report: rep, size: len(members)}
+	for i, res := range results {
+		out[i] = batchResult{res: res, report: rep, size: len(members)}
 	}
 
 	b.mu.Lock()

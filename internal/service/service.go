@@ -17,7 +17,7 @@
 //     merge concurrent requests' charges and falsify the proof;
 //   - a batched admission layer (batch.go) that coalesces concurrent
 //     queries against the same model, differing only in their reward
-//     bound, onto one core.Checker.UntilProbBatch call — one Sericola
+//     bound, onto one core.Checker.EvaluateGroup call — one Sericola
 //     recursion over the memoised uniformised matrix for the whole batch.
 //
 // Numerical options (ε, procedure, workers, truncation, lump mode) are
@@ -261,7 +261,9 @@ type CheckResponse struct {
 	// Holds reports whether every positive-initial-mass state satisfies
 	// the formula (bounded formulas only).
 	Holds *bool `json:"holds,omitempty"`
-	// Satisfying counts Sat(Φ) (bounded formulas only).
+	// Satisfying counts Sat(Φ) (bounded formulas only). It is absent when
+	// the service truncates and the forward path answered without the
+	// per-state results (see core.Checker.Evaluate).
 	Satisfying *int `json:"satisfying,omitempty"`
 	// Values/Verdicts list per-state results when CheckRequest.States set.
 	Values   []float64 `json:"values,omitempty"`
@@ -326,128 +328,53 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// check evaluates one request against the entry's shared checker. Eligible
-// until queries go through the batched admission layer; everything else
+// check evaluates one request against the entry's shared checker. Formulas
+// with a batched evaluation go through the admission layer; everything else
 // runs directly under a per-request recorder.
 func (s *Server) check(entry *modelEntry, f logic.StateFormula, listStates bool) (*CheckResponse, error) {
-	if p, u, ok := batchable(f); ok {
-		res, err := entry.batch.admit(p, u)
+	var resp *CheckResponse
+	if key, ok := core.GroupOf(f); ok {
+		br, err := entry.batch.admit(key, f)
 		if err != nil {
 			return nil, err
 		}
-		return s.respondFromVector(entry, p, res, listStates)
-	}
-
-	rec := obs.New()
-	view := entry.checker.WithRecorder(rec)
-	resp := &CheckResponse{}
-	if isQuery(f) {
-		vals, err := view.Values(f)
-		if err != nil {
-			return nil, err
-		}
-		resp.Kind = "query"
-		v := initialValue(entry.m, vals)
-		resp.Value = &v
-		if listStates {
-			resp.Values = vals
-		}
+		resp = respond(br.res, listStates)
+		resp.Batched, resp.BatchSize, resp.Report = br.size > 1, br.size, br.report
 	} else {
-		sat, err := view.Sat(f)
+		view := entry.checker.WithRecorder(obs.New())
+		res, err := view.Evaluate(f, listStates)
 		if err != nil {
 			return nil, err
 		}
-		holds, err := view.Check(f)
-		if err != nil {
-			return nil, err
-		}
-		resp.Kind = "bounded"
-		resp.Holds = &holds
-		n := sat.Len()
-		resp.Satisfying = &n
-		if listStates {
-			resp.Verdicts = make([]bool, entry.m.N())
-			for i := range resp.Verdicts {
-				resp.Verdicts[i] = sat.Contains(i)
-			}
-		}
+		resp = respond(res, listStates)
+		resp.Report = view.NumericsReport()
 	}
-	resp.Report = view.NumericsReport()
 	resp.BudgetOK = resp.Report.BudgetOK
 	resp.Memo = entry.checker.MemoStats()
 	return resp, nil
 }
 
-// respondFromVector folds a batch column — the per-state path
-// probabilities of P's until — into the response for one request: the
-// α-weighted value for queries, the per-initial-state verdict and Sat
-// count for bounded formulas. The comparisons are exactly those of
-// Checker.Sat/Check on the same vector, so batched answers are
-// bitwise-faithful to unbatched ones.
-func (s *Server) respondFromVector(entry *modelEntry, p logic.Prob, res batchResult, listStates bool) (*CheckResponse, error) {
-	vals := res.vals
-	if p.Complement {
-		for i, v := range vals {
-			vals[i] = 1 - v
-		}
-	}
-	resp := &CheckResponse{
-		Batched:   res.size > 1,
-		BatchSize: res.size,
-		Report:    res.report,
-		BudgetOK:  res.report.BudgetOK,
-	}
-	if isQuery(p) {
-		resp.Kind = "query"
-		v := initialValue(entry.m, vals)
-		resp.Value = &v
+// respond renders one core.Result as a response body.
+func respond(res *core.Result, listStates bool) *CheckResponse {
+	if res.Query {
+		resp := &CheckResponse{Kind: "query", Value: &res.Value}
 		if listStates {
-			resp.Values = vals
+			resp.Values = res.Values
 		}
-	} else {
-		resp.Kind = "bounded"
-		holds := true
-		for st, alpha := range entry.m.InitView() {
-			if alpha > 0 && !p.Op.Compare(vals[st], p.Bound) {
-				holds = false
-				break
-			}
-		}
-		count := 0
-		for _, v := range vals {
-			if p.Op.Compare(v, p.Bound) {
-				count++
-			}
-		}
-		resp.Holds = &holds
-		resp.Satisfying = &count
+		return resp
+	}
+	resp := &CheckResponse{Kind: "bounded", Holds: &res.Holds}
+	if res.Sat != nil {
+		n := res.Sat.Len()
+		resp.Satisfying = &n
 		if listStates {
-			resp.Verdicts = make([]bool, len(vals))
-			for i, v := range vals {
-				resp.Verdicts[i] = p.Op.Compare(v, p.Bound)
+			resp.Verdicts = make([]bool, res.Sat.Universe())
+			for i := range resp.Verdicts {
+				resp.Verdicts[i] = res.Sat.Contains(i)
 			}
 		}
 	}
-	resp.Memo = entry.checker.MemoStats()
-	return resp, nil
-}
-
-// batchable reports whether f is a top-level P-formula over a doubly
-// bounded until with both intervals starting at zero — the shape
-// UntilProbBatch evaluates, hence the shape the admission layer coalesces.
-func batchable(f logic.StateFormula) (logic.Prob, logic.Until, bool) {
-	p, ok := f.(logic.Prob)
-	if !ok {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	u, ok := p.Path.(logic.Until)
-	if !ok || !u.Time.Valid() || !u.Reward.Valid() {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	if !u.Time.StartsAtZero() || u.Time.IsUnbounded() || !u.Reward.StartsAtZero() || u.Reward.IsUnbounded() {
-		return logic.Prob{}, logic.Until{}, false
-	}
-	return p, u, true
+	return resp
 }
 
 // validAtoms rejects formulas naming labels the model does not carry. The
@@ -466,27 +393,6 @@ func validAtoms(m *mrm.MRM, f logic.StateFormula) error {
 		}
 	}
 	return nil
-}
-
-func isQuery(f logic.StateFormula) bool {
-	switch t := f.(type) {
-	case logic.Prob:
-		return t.Query
-	case logic.Steady:
-		return t.Query
-	default:
-		return false
-	}
-}
-
-// initialValue is Σ_s α(s)·vals[s], accumulated in state order so the sum
-// is bitwise-reproducible across requests and equal to the CLI's.
-func initialValue(m *mrm.MRM, vals []float64) float64 {
-	var total float64
-	for st, alpha := range m.InitView() {
-		total += alpha * vals[st]
-	}
-	return total
 }
 
 // Stats is the body of GET /v1/stats: the live health surface.

@@ -147,6 +147,12 @@ func TestCheckMatchesDirectChecker(t *testing.T) {
 		{"P=? [ !call_incoming U{t<=12} call_incoming ]", true},
 		{"S=? [ doze ]", true},
 		{"call_idle | call_incoming", false},
+		{"P<0.5 [ !call_incoming U{t<=12} call_incoming ]", false},
+	}
+	// The P1 (time-only) shapes run exactly one transient sweep per check.
+	p1 := map[string]bool{
+		"P=? [ !call_incoming U{t<=12} call_incoming ]":   true,
+		"P<0.5 [ !call_incoming U{t<=12} call_incoming ]": true,
 	}
 	for _, tc := range cases {
 		status, got, apiErr := postCheck(t, ts.URL, CheckRequest{Model: fp, Formula: tc.formula, States: true})
@@ -160,6 +166,26 @@ func TestCheckMatchesDirectChecker(t *testing.T) {
 			t.Fatalf("%s: budget proof failed: total %g", tc.formula, got.Report.BudgetTotal)
 		}
 		f := logic.MustParse(tc.formula)
+
+		// The response's ledger covers exactly the work of one Evaluate
+		// under a fresh recorder: no more (a doubled Sat/Check), no less.
+		oneShotOpts := opts
+		oneShotOpts.Obs = obs.New()
+		oneShot := core.New(m, oneShotOpts)
+		if _, err := oneShot.Evaluate(f, true); err != nil {
+			t.Fatal(err)
+		}
+		want := oneShot.NumericsReport()
+		if fmt.Sprintf("%x", got.Report.BudgetTotal) != fmt.Sprintf("%x", want.BudgetTotal) {
+			t.Fatalf("%s: ledger total %g != one-shot Evaluate %g", tc.formula, got.Report.BudgetTotal, want.BudgetTotal)
+		}
+		if fmt.Sprintf("%x", got.Report.Budget) != fmt.Sprintf("%x", want.Budget) ||
+			fmt.Sprintf("%x", got.Report.Indicative) != fmt.Sprintf("%x", want.Indicative) {
+			t.Fatalf("%s: ledger charges diverge from one-shot Evaluate:\n%+v\n%+v", tc.formula, got.Report.Budget, want.Budget)
+		}
+		if sweeps := got.Report.Spans["transient.sweep"].Count; p1[tc.formula] && sweeps != 1 {
+			t.Fatalf("%s: %d transient sweeps, want 1", tc.formula, sweeps)
+		}
 		if tc.query {
 			vals, err := direct.Values(f)
 			if err != nil {
@@ -199,6 +225,58 @@ func TestCheckMatchesDirectChecker(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTruncatedCheckFollowsCLIRule pins the truncating service to the
+// rule csrlcheck follows: without the listing, a bounded time-only until is
+// answered by the forward path alone, so the response has a verdict but no
+// satisfying count; with the listing, verdict and count both come from the
+// per-state results.
+func TestTruncatedCheckFollowsCLIRule(t *testing.T) {
+	m, err := adhoc.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Epsilon = 1e-7
+	opts.Truncate = 1e-14
+	s, err := New(Options{Checker: opts, BatchWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, err := s.Register(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := logic.MustParse("P<0.5 [ !call_incoming U{t<=12} call_incoming ]")
+	want, err := core.New(m, opts).Check(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fast, err := s.check(s.lookup(fp), f, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Holds == nil || *fast.Holds != want || fast.Satisfying != nil {
+		t.Fatalf("forward path: holds %v satisfying %v, want holds %v and no count", fast.Holds, fast.Satisfying, want)
+	}
+	_, forward := fast.Report.Gauges["truncation.active-window"]
+	_, dense := fast.Report.Spans["core.sat"]
+	if !forward || dense || fast.Report.Spans["transient.sweep"].Count != 1 {
+		t.Fatalf("want the one forward sweep alone: %+v", fast.Report)
+	}
+
+	listed, err := s.check(s.lookup(fp), f, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if listed.Holds == nil || *listed.Holds != want || listed.Satisfying == nil || len(listed.Verdicts) != m.N() {
+		t.Fatalf("listing: holds %v satisfying %v verdicts %d", listed.Holds, listed.Satisfying, len(listed.Verdicts))
+	}
+	if _, swept := listed.Report.Gauges["truncation.active-window"]; swept {
+		t.Fatal("listing ran the forward path on top of the per-state results")
 	}
 }
 
@@ -320,16 +398,15 @@ func TestBatchedLedgerIsShared(t *testing.T) {
 	opts.Epsilon = 1e-7
 	b := newBatcher(core.New(m, opts), 100*time.Millisecond)
 
-	f := logic.MustParse("P=? [ (call_idle | doze) U{t<=24, r<=600} call_initiated ]").(logic.Prob)
-	u := f.Path.(logic.Until)
-	u2 := u
-	u2.Reward = logic.UpTo(300)
+	f := logic.MustParse("P=? [ (call_idle | doze) U{t<=24, r<=600} call_initiated ]")
+	f2 := logic.MustParse("P=? [ (call_idle | doze) U{t<=24, r<=300} call_initiated ]")
+	key, _ := core.GroupOf(f)
 
 	var wg sync.WaitGroup
 	var r1, r2 batchResult
 	wg.Add(2)
-	go func() { defer wg.Done(); r1, _ = b.admit(f, u) }()
-	go func() { defer wg.Done(); r2, _ = b.admit(f, u2) }()
+	go func() { defer wg.Done(); r1, _ = b.admit(key, f) }()
+	go func() { defer wg.Done(); r2, _ = b.admit(key, f2) }()
 	wg.Wait()
 
 	if r1.err != nil || r2.err != nil {
@@ -344,7 +421,7 @@ func TestBatchedLedgerIsShared(t *testing.T) {
 	if !r1.report.BudgetOK {
 		t.Fatal("group budget proof failed")
 	}
-	if fmt.Sprintf("%x", r1.vals) == fmt.Sprintf("%x", r2.vals) {
+	if fmt.Sprintf("%x", r1.res.Values) == fmt.Sprintf("%x", r2.res.Values) {
 		t.Fatal("different reward bounds produced identical columns")
 	}
 }
