@@ -227,8 +227,10 @@ func TestRunWithLumping(t *testing.T) {
 	if _, err := run([]string{"-model", path, "-stats", "P=? [ F{t<=1} edge ]"}, &stats); err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if !strings.Contains(stats.String(), "lump.blocks") || !strings.Contains(stats.String(), "lump.states") {
-		t.Errorf("expected lump gauges in the stats report:\n%s", stats.String())
+	for _, name := range []string{"lump.blocks", "lump.states", "lump.rounds", "lump.signed_states"} {
+		if !strings.Contains(stats.String(), name) {
+			t.Errorf("expected %s in the stats report:\n%s", name, stats.String())
+		}
 	}
 	// The per-state values must agree between the two runs.
 	extract := func(out string) []string {

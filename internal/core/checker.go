@@ -84,11 +84,16 @@ const (
 
 // lumpMaxRounds caps the refinement rounds of the automatic pre-pass.
 // Refinement needs as many rounds as the distance over which rate
-// differences must propagate to separate states — up to O(n) on chains —
-// while each round costs a full pass over the rate matrix. A quotient
-// that has not stabilised within the cap is abandoned and the formula is
-// checked unlumped: the pre-pass must never cost more than the sweep time
-// it could save. Explicit lump.QuotientRespecting calls remain uncapped.
+// differences must propagate to separate states — up to O(n) on chains.
+// A round re-signs only the blocks that can still split (the children of
+// last round's splits and their predecessors' blocks) but scans the rows
+// of the others to find them, so a long run of rounds still costs about a
+// pass over the rate matrix each. A quotient that has not stabilised
+// within the cap is abandoned and the formula is checked unlumped: the
+// pre-pass must never cost more than the sweep time it could save. The
+// incremental rounds split exactly as all-states rounds would, so the cap
+// lumps or declines the same formulas. Explicit lump.QuotientRespecting
+// calls remain uncapped.
 const lumpMaxRounds = 64
 
 // Options configures the checker.
@@ -445,6 +450,8 @@ func (c *Checker) buildLump(atoms []string) *lumpEntry {
 	if c.opts.Obs != nil {
 		c.opts.Obs.Gauge("lump.states").SetMax(float64(c.m.N()))
 		c.opts.Obs.Gauge("lump.blocks").SetMax(float64(res.Model.N()))
+		c.opts.Obs.Gauge("lump.rounds").SetMax(float64(res.Rounds))
+		c.opts.Obs.Counter("lump.signed_states").Add(int64(res.SignedStates))
 	}
 	if res.Model.N() >= c.m.N() {
 		if c.opts.Obs != nil {

@@ -109,6 +109,12 @@ func TestSatLumpCrosscheck(t *testing.T) {
 				if blocks, states := rep.Gauges["lump.blocks"], rep.Gauges["lump.states"]; !(blocks > 0 && blocks < states) {
 					t.Errorf("quotient did not engage: blocks=%g states=%g", blocks, states)
 				}
+				// The refinement work is on the report: at least one round,
+				// and no more signatures than all-states rounds would compute.
+				rounds, signed := rep.Gauges["lump.rounds"], float64(rep.Counters["lump.signed_states"])
+				if !(rounds >= 1 && signed > 0 && signed <= rounds*rep.Gauges["lump.states"]) {
+					t.Errorf("refinement work not recorded: lump.rounds=%g lump.signed_states=%g", rounds, signed)
+				}
 			})
 		}
 	}

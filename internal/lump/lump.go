@@ -9,20 +9,39 @@
 //
 // The implementation is a partition refinement: start from the (labels,
 // reward, initial-mass) signature partition and split blocks by their
-// aggregate-rate signature vectors until a fixpoint is reached. Signatures
-// are hashed as integers (block IDs and float64 bit patterns through an
-// FNV-1a mix) rather than formatted into strings; hash buckets are
-// verified by exact signature comparison, so a hash collision can slow a
-// split down but can never merge two non-bisimilar states.
+// aggregate-rate signature vectors until a fixpoint is reached. Rounds are
+// incremental. A block that did not split in round k can split in round
+// k+1 only if one of its states has an edge into a block that did split
+// in round k: its edges into unsplit blocks are the same edges, summed in
+// the same CSR column order, so those aggregate rates are bit-identical.
+// Round k+1 therefore re-signs only the dirty blocks — the children of the
+// blocks split in round k and the blocks with an edge into one of them,
+// found by one successor scan against per-block split flags — and every
+// other block carries over whole. The partition, the block numbering, the
+// round count and the quotient are bit for bit those of re-signing every
+// state in every round.
+//
+// Blocks are contiguous ranges of one state permutation, ascending within
+// each range, and during refinement a block is named by the position where
+// its range starts. A split re-partitions its parent's range stably, its
+// children in order of their first state, so range order is the order in
+// which all-states rounds number the blocks and the final block IDs are
+// the ranks of the range starts. Signatures are hashed a word at a time;
+// hash buckets are verified by exact signature comparison, so a hash
+// collision can slow a split down but can never merge two non-bisimilar
+// states.
 package lump
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/sparse"
 )
 
 // ErrRoundsExceeded is returned by QuotientLimited when the refinement has
@@ -38,8 +57,14 @@ type Result struct {
 	Model *mrm.MRM
 	// BlockOf maps each original state to its block index.
 	BlockOf []int
-	// Blocks lists the original states of every block.
+	// Blocks lists the original states of every block, in ascending order.
 	Blocks [][]int
+	// Rounds is the number of refinement rounds run, the last of which
+	// split nothing: a round cap of Rounds succeeds, one of Rounds−1 fails.
+	Rounds int
+	// SignedStates counts the state signatures computed over all rounds,
+	// the refinement's work; re-signing every state would cost Rounds·N.
+	SignedStates int
 }
 
 // Quotient computes the coarsest ordinary-lumpability quotient of m that
@@ -66,18 +91,30 @@ func QuotientLimited(m *mrm.MRM, respect []string, maxRounds int) (*Result, erro
 	if m.HasImpulses() {
 		return nil, fmt.Errorf("lump: %w", mrm.ErrImpulsesUnsupported)
 	}
-	n := m.N()
 	labels := append([]string(nil), respect...)
 	sort.Strings(labels)
-	init := m.InitView()
-	rates := m.Rates()
+	r := newRefiner(m, labels)
+	if err := r.refine(maxRounds); err != nil {
+		return nil, err
+	}
+	blockOf, blocks := r.number()
+	qm, err := quotient(m, labels, blockOf, blocks)
+	if err != nil {
+		return nil, fmt.Errorf("lump: quotient: %w", err)
+	}
+	return &Result{Model: qm, BlockOf: blockOf, Blocks: blocks, Rounds: r.rounds, SignedStates: r.signed}, nil
+}
 
-	// Initial partition: identical label sets, rewards and initial-state
-	// masses. (Initial probability masses are summed per block, which is
-	// only faithful if blocks do not mix initial and non-initial states
-	// with different masses; keeping the initial signature avoids the
-	// common pitfall.) Per-state label membership is packed into a bitset
-	// both for hashing and for the exact collision check.
+// initialPartition groups the states with identical label sets, rewards
+// and initial-state masses, numbering the groups by first appearance.
+// (Initial probability masses are summed per block, which is only faithful
+// if blocks do not mix initial and non-initial states with different
+// masses; keeping the initial signature avoids the common pitfall.)
+// Per-state label membership is packed into a bitset both for hashing and
+// for the exact collision check.
+func initialPartition(m *mrm.MRM, labels []string) (blockOf []int, numBlocks int) {
+	n := m.N()
+	init := m.InitView()
 	words := (len(labels) + 63) / 64
 	var labelBits []uint64
 	if words > 0 {
@@ -90,7 +127,7 @@ func QuotientLimited(m *mrm.MRM, respect []string, maxRounds int) (*Result, erro
 			}
 		}
 	}
-	sameInitial := func(s, r int) bool {
+	same := func(s, r int) bool {
 		if math.Float64bits(m.Reward(s)) != math.Float64bits(m.Reward(r)) {
 			return false
 		}
@@ -104,137 +141,305 @@ func QuotientLimited(m *mrm.MRM, respect []string, maxRounds int) (*Result, erro
 		}
 		return true
 	}
-	blockOf := make([]int, n)
-	numBlocks := 0
-	{
-		type cand struct{ id, rep int }
-		buckets := make(map[uint64][]cand)
-		for s := 0; s < n; s++ {
-			h := uint64(fnvOffset64)
-			for w := 0; w < words; w++ {
-				h = hashWord(h, labelBits[s*words+w])
-			}
-			h = hashWord(h, math.Float64bits(m.Reward(s)))
-			h = hashWord(h, math.Float64bits(init[s]))
-			id := -1
-			for _, c := range buckets[h] {
-				if sameInitial(s, c.rep) {
-					id = c.id
-					break
-				}
-			}
-			if id < 0 {
-				id = numBlocks
-				numBlocks++
-				buckets[h] = append(buckets[h], cand{id: id, rep: s})
-			}
-			blockOf[s] = id
+	blockOf = make([]int, n)
+	type cand struct{ id, rep int }
+	buckets := make(map[uint64][]cand)
+	for s := 0; s < n; s++ {
+		h := uint64(hashSeed)
+		for w := 0; w < words; w++ {
+			h = mix(h, labelBits[s*words+w])
 		}
+		h = mix(h, math.Float64bits(m.Reward(s)))
+		h = mix(h, math.Float64bits(init[s]))
+		id := -1
+		for _, c := range buckets[h] {
+			if same(s, c.rep) {
+				id = c.id
+				break
+			}
+		}
+		if id < 0 {
+			id = numBlocks
+			numBlocks++
+			buckets[h] = append(buckets[h], cand{id: id, rep: s})
+		}
+		blockOf[s] = id
 	}
+	return blockOf, numBlocks
+}
 
-	// Refinement: split blocks by the aggregate rate into every block.
-	// Aggregate rates accumulate into a dense scratch indexed by block ID
-	// with an epoch stamp marking the touched entries, so no per-state map
-	// is allocated; the touched IDs are sorted to make the signature (and
-	// hence the new block numbering) deterministic.
-	acc := make([]float64, n)
-	stamp := make([]int, n)
-	epoch := 0
-	var sig []sigEntry
-	cnt := make([]int, n+1)
-	order := make([]int, n)
-	next := make([]int, n)
-	type subBlock struct {
-		id  int
-		sig []sigEntry
+// linearScanMax is the largest block whose states look up their sub-block
+// by a linear scan over the sub-blocks found so far; larger blocks index
+// the sub-blocks by signature hash.
+const linearScanMax = 16
+
+// refiner holds the partition and the scratch of the refinement rounds.
+// Blocks are named by the start of their range in order; every per-block
+// slice is indexed by that name.
+type refiner struct {
+	rates   *sparse.CSR
+	blockOf []int // state → start of its block's range
+	order   []int // states grouped by block, ascending within a block
+	end     []int // end[p]: one past the range of the block starting at p
+
+	// split marks the children of the blocks split in the last round (all
+	// blocks before the first); dirty marks the blocks to re-sign in this
+	// round.
+	split, dirty         []bool
+	splitList, dirtyList []int
+
+	sub []int // sub[i]: sub-block of order[i] within its block this round
+	tmp []int // scratch for the stable re-partition of a split block
+
+	sig   []sigEntry // the signature being built
+	arena []sigEntry // the signatures of the current block's sub-blocks
+	subs  []subBlock
+	index map[uint64]int // hash → newest sub-block with it (large blocks)
+
+	rounds, signed int
+}
+
+// subBlock is one signature class of the block being signed.
+type subBlock struct {
+	hash     uint64
+	off, len int // signature at arena[off : off+len]
+	size     int // member count
+	at       int // re-partition cursor
+	next     int // older sub-block with the same hash, or -1
+}
+
+// sigEntry is one (target block, aggregate rate) component of a state's
+// refinement signature.
+type sigEntry struct {
+	block int
+	rate  float64
+}
+
+func newRefiner(m *mrm.MRM, labels []string) *refiner {
+	n := m.N()
+	r := &refiner{
+		rates:   m.Rates(),
+		blockOf: make([]int, n),
+		order:   make([]int, n),
+		end:     make([]int, n),
+		split:   make([]bool, n),
+		dirty:   make([]bool, n),
+		sub:     make([]int, n),
+		tmp:     make([]int, n),
+		index:   make(map[uint64]int),
 	}
-	buckets := make(map[uint64][]subBlock)
+	ids, numBlocks := initialPartition(m, labels)
+	start := make([]int, numBlocks+1)
+	for _, b := range ids {
+		start[b+1]++
+	}
+	for b := 0; b < numBlocks; b++ {
+		start[b+1] += start[b]
+		r.end[start[b]] = start[b+1]
+		r.split[start[b]] = true
+		r.splitList = append(r.splitList, start[b])
+	}
+	for s, b := range ids {
+		r.blockOf[s] = start[b]
+	}
+	// start[b] turns into the fill cursor of block b.
+	for s, b := range ids {
+		r.order[start[b]] = s
+		start[b]++
+	}
+	return r
+}
+
+// refine runs rounds until one splits no block.
+func (r *refiner) refine(maxRounds int) error {
 	for round := 0; ; round++ {
 		if maxRounds > 0 && round >= maxRounds {
-			return nil, ErrRoundsExceeded
+			return ErrRoundsExceeded
 		}
-		// Group states by current block: order holds the states of block b
-		// at order[cnt[b]:cnt[b+1]], in ascending state order.
-		for b := 0; b <= numBlocks; b++ {
-			cnt[b] = 0
+		r.markDirty()
+		for _, p := range r.dirtyList {
+			r.dirty[p] = false
+			r.signBlock(p)
 		}
-		for _, b := range blockOf {
-			cnt[b+1]++
+		r.rounds = round + 1
+		if len(r.splitList) == 0 {
+			return nil
 		}
-		for b := 1; b <= numBlocks; b++ {
-			cnt[b] += cnt[b-1]
-		}
-		pos := append([]int(nil), cnt[:numBlocks]...)
-		for s := 0; s < n; s++ {
-			b := blockOf[s]
-			order[pos[b]] = s
-			pos[b]++
-		}
-		changed := false
-		nextID := 0
-		for b := 0; b < numBlocks; b++ {
-			states := order[cnt[b]:cnt[b+1]]
-			clear(buckets)
-			subCount := 0
-			for _, s := range states {
-				// Ordinary lumpability constrains the aggregate rate into
-				// every OTHER block; internal transitions are invisible at
-				// the block level and excluded from the signature.
-				epoch++
-				sig = sig[:0]
-				cols, vals := rates.RowRange(s)
-				for k, t := range cols {
-					v := vals[k]
-					tb := blockOf[t]
-					if v == 0 || tb == b {
-						continue
-					}
-					if stamp[tb] != epoch {
-						stamp[tb] = epoch
-						acc[tb] = 0
-						sig = append(sig, sigEntry{block: tb})
-					}
-					acc[tb] += v
-				}
-				sort.Slice(sig, func(i, j int) bool { return sig[i].block < sig[j].block })
-				h := uint64(fnvOffset64)
-				for i := range sig {
-					sig[i].rate = acc[sig[i].block]
-					h = hashWord(h, uint64(sig[i].block))
-					h = hashWord(h, math.Float64bits(sig[i].rate))
-				}
-				id := -1
-				for _, c := range buckets[h] {
-					if sigEqual(c.sig, sig) {
-						id = c.id
-						break
-					}
-				}
-				if id < 0 {
-					id = nextID
-					nextID++
-					subCount++
-					buckets[h] = append(buckets[h], subBlock{id: id, sig: append([]sigEntry(nil), sig...)})
-				}
-				next[s] = id
+		// Children take their names only now: every signature of the round
+		// had to see the partition the round started from.
+		for _, q := range r.splitList {
+			for _, s := range r.order[q:r.end[q]] {
+				r.blockOf[s] = q
 			}
-			if subCount > 1 {
-				changed = true
-			}
-		}
-		copy(blockOf, next)
-		numBlocks = nextID
-		if !changed {
-			break
 		}
 	}
+}
 
-	// Build the quotient.
-	blocks := make([][]int, numBlocks)
-	for s, b := range blockOf {
-		blocks[b] = append(blocks[b], s)
+// markDirty collects the round's dirty blocks and clears the split flags
+// they were derived from. Singleton blocks never split and are skipped.
+func (r *refiner) markDirty() {
+	r.dirtyList = r.dirtyList[:0]
+	for _, p := range r.splitList {
+		if r.end[p]-p > 1 {
+			r.dirty[p] = true
+			r.dirtyList = append(r.dirtyList, p)
+		}
 	}
-	qb := mrm.NewBuilder(numBlocks)
+	for p := 0; p < len(r.order); p = r.end[p] {
+		if r.dirty[p] || r.end[p]-p == 1 {
+			continue
+		}
+	scan:
+		for _, s := range r.order[p:r.end[p]] {
+			cols, _ := r.rates.RowRange(s)
+			for _, t := range cols {
+				if r.split[r.blockOf[t]] {
+					r.dirty[p] = true
+					r.dirtyList = append(r.dirtyList, p)
+					break scan
+				}
+			}
+		}
+	}
+	for _, p := range r.splitList {
+		r.split[p] = false
+	}
+	r.splitList = r.splitList[:0]
+}
+
+// signBlock splits the block starting at p into its signature classes,
+// numbered in order of first appearance.
+func (r *refiner) signBlock(p int) {
+	e := r.end[p]
+	r.signed += e - p
+	r.subs, r.arena = r.subs[:0], r.arena[:0]
+	indexed := e-p > linearScanMax
+	for i := p; i < e; i++ {
+		h := r.sign(r.order[i], p)
+		c := r.lookup(h, indexed)
+		if c < 0 {
+			c = len(r.subs)
+			sb := subBlock{hash: h, off: len(r.arena), len: len(r.sig), next: -1}
+			r.arena = append(r.arena, r.sig...)
+			if indexed {
+				if head, ok := r.index[h]; ok {
+					sb.next = head
+				}
+				r.index[h] = c
+			}
+			r.subs = append(r.subs, sb)
+		}
+		r.subs[c].size++
+		r.sub[i] = c
+	}
+	if indexed {
+		for _, sb := range r.subs {
+			delete(r.index, sb.hash)
+		}
+	}
+	if len(r.subs) > 1 {
+		r.partition(p, e)
+	}
+}
+
+// sign builds the signature of state s in the block named own into r.sig
+// and returns its hash. Ordinary lumpability constrains the aggregate rate
+// into every OTHER block; internal transitions are invisible at the block
+// level and excluded.
+func (r *refiner) sign(s, own int) uint64 {
+	sig := r.sig[:0]
+	cols, vals := r.rates.RowRange(s)
+	for k, t := range cols {
+		if tb := r.blockOf[t]; vals[k] != 0 && tb != own {
+			sig = append(sig, sigEntry{block: tb, rate: vals[k]})
+		}
+	}
+	sig = aggregate(sig)
+	h := uint64(hashSeed)
+	for _, e := range sig {
+		h = mix(h, uint64(e.block))
+		h = mix(h, math.Float64bits(e.rate))
+	}
+	r.sig = sig
+	return h
+}
+
+// lookup returns the sub-block whose signature equals r.sig, or -1.
+func (r *refiner) lookup(h uint64, indexed bool) int {
+	if !indexed {
+		for c := range r.subs {
+			if r.subs[c].hash == h && sigEqual(r.subSig(c), r.sig) {
+				return c
+			}
+		}
+		return -1
+	}
+	c, ok := r.index[h]
+	if !ok {
+		return -1
+	}
+	for ; c >= 0; c = r.subs[c].next {
+		if sigEqual(r.subSig(c), r.sig) {
+			return c
+		}
+	}
+	return -1
+}
+
+func (r *refiner) subSig(c int) []sigEntry {
+	sb := r.subs[c]
+	return r.arena[sb.off : sb.off+sb.len]
+}
+
+// partition stably re-orders the range [p, e) so each sub-block gets a
+// contiguous sub-range, in sub-block order, and flags the children as
+// split for the next round.
+func (r *refiner) partition(p, e int) {
+	at := p
+	for c := range r.subs {
+		sb := &r.subs[c]
+		sb.at = at
+		r.end[at] = at + sb.size
+		r.split[at] = true
+		r.splitList = append(r.splitList, at)
+		at += sb.size
+	}
+	for i := p; i < e; i++ {
+		sb := &r.subs[r.sub[i]]
+		r.tmp[sb.at] = r.order[i]
+		sb.at++
+	}
+	copy(r.order[p:e], r.tmp[p:e])
+}
+
+// number turns block names into IDs — the ranks of the range starts — and
+// lists the members of every block.
+func (r *refiner) number() (blockOf []int, blocks [][]int) {
+	id := r.tmp
+	numBlocks := 0
+	for p := 0; p < len(r.order); p = r.end[p] {
+		id[p] = numBlocks
+		numBlocks++
+	}
+	blocks = make([][]int, 0, numBlocks)
+	for p := 0; p < len(r.order); p = r.end[p] {
+		blocks = append(blocks, r.order[p:r.end[p]:r.end[p]])
+	}
+	blockOf = r.blockOf
+	for s, p := range blockOf {
+		blockOf[s] = id[p]
+	}
+	return blockOf, blocks
+}
+
+// quotient builds the lumped MRM: each block takes its first state's
+// reward, name and respected labels, its members' summed initial mass,
+// and that state's aggregate rates into the other blocks, summed in CSR
+// column order as the refinement summed them.
+func quotient(m *mrm.MRM, labels []string, blockOf []int, blocks [][]int) (*mrm.MRM, error) {
+	init := m.InitView()
+	qb := mrm.NewBuilder(len(blocks))
+	var row []sigEntry
 	for b, members := range blocks {
 		rep := members[0]
 		qb.Reward(b, m.Reward(rep))
@@ -251,44 +456,52 @@ func QuotientLimited(m *mrm.MRM, respect []string, maxRounds int) (*Result, erro
 		if mass > 0 {
 			qb.InitialProb(b, mass)
 		}
-		epoch++
-		var targets []int
-		cols, vals := rates.RowRange(rep)
+		row = row[:0]
+		cols, vals := m.Rates().RowRange(rep)
 		for k, t := range cols {
-			v := vals[k]
-			if v == 0 {
-				continue
+			if vals[k] != 0 {
+				row = append(row, sigEntry{block: blockOf[t], rate: vals[k]})
 			}
-			tb := blockOf[t]
-			if stamp[tb] != epoch {
-				stamp[tb] = epoch
-				acc[tb] = 0
-				targets = append(targets, tb)
-			}
-			acc[tb] += v
 		}
-		sort.Ints(targets)
-		for _, t := range targets {
-			if t != b {
-				qb.Rate(b, t, acc[t])
-			}
+		row = aggregate(row)
+		for _, e := range row {
 			// Aggregate rates within the block are self-loops of the
 			// quotient CTMC; they are unobservable and dropped.
+			if e.block != b {
+				qb.Rate(b, e.block, e.rate)
+			}
 		}
 	}
-	qm, err := qb.Build()
-	if err != nil {
-		return nil, fmt.Errorf("lump: quotient: %w", err)
-	}
-	return &Result{Model: qm, BlockOf: blockOf, Blocks: blocks}, nil
+	return qb.Build()
 }
 
-// sigEntry is one (target block, aggregate rate) component of a state's
-// refinement signature.
-type sigEntry struct {
-	block int
-	rate  float64
+// aggregate sums a row's (block, rate) entries per block, adding the rates
+// in the order the entries come — CSR column order — and returns the sums
+// sorted by block, in place. The sort is stable so that order survives:
+// insertion sort for the short rows of typical models, a typed merge sort
+// beyond.
+func aggregate(row []sigEntry) []sigEntry {
+	if len(row) > 12 {
+		slices.SortStableFunc(row, bySigBlock)
+	} else {
+		for i := 1; i < len(row); i++ {
+			for j := i; j > 0 && row[j].block < row[j-1].block; j-- {
+				row[j], row[j-1] = row[j-1], row[j]
+			}
+		}
+	}
+	out := row[:0]
+	for i := 0; i < len(row); {
+		e := sigEntry{block: row[i].block}
+		for ; i < len(row) && row[i].block == e.block; i++ {
+			e.rate += row[i].rate
+		}
+		out = append(out, e)
+	}
+	return out
 }
+
+func bySigBlock(a, b sigEntry) int { return cmp.Compare(a.block, b.block) }
 
 // sigEqual compares two signatures exactly (bit equality on rates), the
 // collision check behind the hash buckets.
@@ -304,19 +517,13 @@ func sigEqual(a, b []sigEntry) bool {
 	return true
 }
 
-// FNV-1a 64-bit, folded over the bytes of each 64-bit word.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// hashSeed starts every signature hash; mix folds in one 64-bit word with
+// a multiply and an xor-shift.
+const hashSeed = 0x9e3779b97f4a7c15
 
-func hashWord(h, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= w & 0xff
-		h *= fnvPrime64
-		w >>= 8
-	}
-	return h
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0xff51afd7ed558ccd
+	return h ^ h>>32
 }
 
 // Lift expands per-block values back to per-state values.

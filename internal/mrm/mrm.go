@@ -279,6 +279,13 @@ func (b *Builder) Rate(from, to int, rate float64) *Builder {
 	return b
 }
 
+// Grow reserves room for n more Rate calls, so a caller that knows its
+// transition count builds without re-growing the rate buffer.
+func (b *Builder) Grow(n int) *Builder {
+	b.b.Grow(n)
+	return b
+}
+
 // Reward sets ρ(s) = r.
 func (b *Builder) Reward(s int, r float64) *Builder {
 	if !b.checkState(s) {

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder accumulates triplets for incremental construction of a CSR matrix.
 // The zero value is not usable; create one with NewBuilder.
@@ -18,6 +21,12 @@ func NewBuilder(n int) *Builder {
 // from Build, so call sites can stay unconditional.
 func (b *Builder) Add(i, j int, v float64) {
 	b.ts = append(b.ts, Triplet{Row: i, Col: j, Val: v})
+}
+
+// Grow reserves room for n more triplets, so a caller that knows its entry
+// count fills the builder without re-growing it.
+func (b *Builder) Grow(n int) {
+	b.ts = slices.Grow(b.ts, n)
 }
 
 // Len returns the number of recorded triplets (before duplicate merging).

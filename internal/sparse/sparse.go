@@ -42,18 +42,25 @@ func NewFromTriplets(n int, ts []Triplet) (*CSR, error) {
 			return nil, fmt.Errorf("%w: entry (%d,%d) outside %d×%d", ErrDimension, t.Row, t.Col, n, n)
 		}
 	}
-	sorted := make([]Triplet, len(ts))
-	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
+	// Input already in strictly increasing (row, col) order has only one
+	// sorted order, so it is used as is rather than copied and sorted.
+	sorted := ts
+	if !strictlySorted(ts) {
+		sorted = make([]Triplet, len(ts))
+		copy(sorted, ts)
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].Row != sorted[j].Row {
+				return sorted[i].Row < sorted[j].Row
+			}
+			return sorted[i].Col < sorted[j].Col
+		})
+	}
 
 	m := &CSR{
 		n:      n,
 		rowPtr: make([]int, n+1),
+		col:    make([]int, 0, len(sorted)),
+		val:    make([]float64, 0, len(sorted)),
 	}
 	// Merge duplicates while copying into the CSR arrays.
 	for i := 0; i < len(sorted); {
@@ -72,6 +79,16 @@ func NewFromTriplets(n int, ts []Triplet) (*CSR, error) {
 		m.rowPtr[i+1] += m.rowPtr[i]
 	}
 	return m, nil
+}
+
+func strictlySorted(ts []Triplet) bool {
+	for i := 1; i < len(ts); i++ {
+		a, b := ts[i-1], ts[i]
+		if a.Row > b.Row || a.Row == b.Row && a.Col >= b.Col {
+			return false
+		}
+	}
+	return true
 }
 
 // Identity returns the n×n identity matrix.

@@ -38,6 +38,32 @@ func TestNewFromTriplets(t *testing.T) {
 	}
 }
 
+// TestNewFromTripletsSortedInput feeds the same entries in strictly
+// increasing (row, col) order, which is taken as is, and shuffled, which is
+// sorted first: both must give the same matrix, and the sorted input must
+// not be modified.
+func TestNewFromTripletsSortedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sorted []Triplet
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			if rng.Intn(4) == 0 {
+				sorted = append(sorted, Triplet{Row: i, Col: j, Val: rng.Float64()})
+			}
+		}
+	}
+	keep := append([]Triplet(nil), sorted...)
+	shuffled := append([]Triplet(nil), sorted...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	a, b := mustCSR(t, 40, sorted), mustCSR(t, 40, shuffled)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("sorted and shuffled input give different matrices")
+	}
+	if !reflect.DeepEqual(sorted, keep) {
+		t.Error("NewFromTriplets modified its input")
+	}
+}
+
 func TestNewFromTripletsRejectsOutOfRange(t *testing.T) {
 	if _, err := NewFromTriplets(2, []Triplet{{Row: 2, Col: 0, Val: 1}}); err == nil {
 		t.Error("row out of range not rejected")

@@ -229,7 +229,7 @@ func (n *Net) BuildMRM(init Marking, opts Options) (*mrm.MRM, []Marking, error) 
 		}
 	}
 
-	b := mrm.NewBuilder(store.n)
+	b := mrm.NewBuilder(store.n).Grow(len(eRate))
 	for e := range eRate {
 		b.Rate(eFrom[e], eTo[e], eRate[e])
 	}
