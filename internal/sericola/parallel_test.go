@@ -7,8 +7,9 @@ import (
 	"github.com/performability/csrl/internal/mrm"
 )
 
-// gridModel builds an n-state chain with three distinct rewards, large
-// enough (n² ≥ runGrain) that the per-level row sweeps actually fan out.
+// gridModel builds an n-state chain with three distinct rewards. At n = 60
+// with every fourth state a goal, a level's work m·level·(nnz+n)·g passes
+// runGrain from level 5 on, so the later levels' row passes fan out.
 func gridModel(t *testing.T, n int) *mrm.MRM {
 	t.Helper()
 	b := mrm.NewBuilder(n)

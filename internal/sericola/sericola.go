@@ -57,7 +57,7 @@ type Options struct {
 	Epsilon float64
 	// Lambda overrides the uniformisation rate (0 = automatic).
 	Lambda float64
-	// Workers bounds the parallelism of the per-level row sweeps:
+	// Workers bounds the parallelism of the per-level row passes:
 	// 0 = runtime.NumCPU(), 1 = the exact sequential legacy path. The
 	// recursion is partitioned by matrix row, and every row's arithmetic
 	// runs in the sequential order, so results are bitwise independent of
@@ -84,15 +84,16 @@ type Options struct {
 	// Cache, when non-nil, memoises the uniformised matrix and the
 	// Poisson weight table.
 	Cache Cache
-	// Pool, when non-nil, supplies the n×g matrix banks of the recursion
-	// and the scratch of the transient fallback. All bank buffers are
-	// checked back in before ReachProbAll returns; the result vector is a
-	// plain allocation owned by the caller.
+	// Pool, when non-nil, supplies the recursion's slab and n×g
+	// accumulators and the scratch of the transient fallback. All of them
+	// are checked back in before ReachProbAll returns; the result vector is
+	// a plain allocation owned by the caller.
 	Pool *sparse.VecPool
 	// Obs, when non-nil, receives the numerics-observability signals: the
 	// Poisson series remainder past N_ε in the error-budget ledger, the
-	// clamp residue as an indicative entry, level/band gauges and the
-	// recursion span. It is forwarded to the transient fallback.
+	// clamp residue as an indicative entry, the level, band and slab-size
+	// gauges and the recursion span. It is forwarded to the transient
+	// fallback.
 	Obs *obs.Recorder
 }
 
@@ -155,6 +156,14 @@ type target struct {
 //
 //numerics:domain t=rate rs=rate
 func ReachProbBatch(m *mrm.MRM, goal *mrm.StateSet, t float64, rs []float64, opts Options) ([]*Result, error) {
+	return reachProbBatch(m, goal, t, rs, opts, (*recursion).run)
+}
+
+// reachProbBatch is ReachProbBatch with the recursion's implementation as
+// a parameter, so the tests can run the same pipeline on their reference.
+//
+//numerics:domain t=rate rs=rate
+func reachProbBatch(m *mrm.MRM, goal *mrm.StateSet, t float64, rs []float64, opts Options, run func(*recursion) ([][]float64, []float64)) ([]*Result, error) {
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = DefaultOptions().Epsilon
 	}
@@ -311,9 +320,14 @@ func ReachProbBatch(m *mrm.MRM, goal *mrm.StateSet, t float64, rs []float64, opt
 		}
 	}
 	g := len(cols)
+	opts.Obs.Gauge("sericola.slab_bytes").SetMax(float64(8 * slabLen(n, g, mBands, nSteps)))
 
 	span := opts.Obs.StartSpan("sericola.recursion")
-	hMats, tMat := run(p, rho, shifted, targets, poisPMF, lf, nSteps, opts.Workers, cols, opts.Pool)
+	hMats, tMat := run(&recursion{
+		p: p, rho: rho, bands: shifted, targets: targets,
+		poisPMF: poisPMF, lf: lf, nSteps: nSteps,
+		workers: opts.Workers, grain: runGrain, cols: cols, pool: opts.Pool,
+	})
 	span.End()
 	putAll := func() {
 		for _, hm := range hMats {
@@ -391,306 +405,328 @@ func ReachProb(m *mrm.MRM, goal *mrm.StateSet, t, r float64, opts Options) (floa
 	return v, res.N, nil
 }
 
-// runGrain is the minimum matrix size n·g before the per-level row sweeps
-// fan out across workers.
-const runGrain = 2048
+// runGrain is the minimum per-level work, in multiply-adds — bands ×
+// level × (nnz + n) × g, the row products plus the sweeps — before a
+// level's row pass fans out across workers. Early levels stay on the
+// caller; on the reduced cluster models all but the first few levels fan
+// out, even at g = 1.
+const runGrain = 1 << 15
 
-// run executes the C(h,n,k) recursion restricted to the given column set
+// slabLen is the length of the pooled slab that holds the recursion's
+// banks: Pⁿ and its successor (n×g each) and two C banks of one
+// n×(N+1)×g block per band.
+func slabLen(n, g, mBands, nSteps int) int {
+	return 2*n*g + 2*mBands*n*(nSteps+1)*g
+}
+
+// recursion bundles the inputs of one C(h,n,k) run.
+type recursion struct {
+	p       *sparse.CSR
+	rho     []float64 // per-state shifted rewards
+	bands   []float64 // shifted distinct rewards, bands[0] = 0
+	targets []target
+	// poisPMF and lf are the precomputed Poisson pmf and log-factorial
+	// tables covering 0..nSteps.
+	poisPMF func(int) float64
+	lf      []float64
+	nSteps  int
+	workers int
+	// grain is the per-level work below which a level runs on the caller
+	// (runGrain in production).
+	grain int
+	cols  []int
+	pool  *sparse.VecPool
+}
+
+// run executes the C(h,n,k) recursion restricted to the column set cols
 // and returns (per-target H matrices, Pois-weighted transient matrix), all
 // flattened row-major n×g with column j holding original column cols[j].
-// poisPMF and lf are the precomputed Poisson pmf and log-factorial tables
-// covering 0..nSteps.
 //
-// Batching: the level matrices cur[h][k] cover every band h, so they are
-// target-independent — a target only selects which band it reads
-// (cur[target.h]) and the binomial row binoms[ti] it weights the read
-// with. Each additional target therefore costs one extra n×g accumulator
-// and one binomial row per level, while the recursion itself (the dominant
-// O(m·N²) row products) runs once for the whole batch. For each target the
+// Layout: each band's level matrices live in one n×(N+1)×g block, phase k
+// contiguous within a row — C(h,n,k)[i, cols[j]] sits at i·(N+1)·g + k·g
+// + j of band h's block. Two banks of m blocks hold the previous and the
+// current level and swap per level, so the whole recursion lives in one
+// pooled slab of slabLen floats.
+//
+// Each level is one pass over the rows. Row i reads its CSR entries once
+// per band and forms the products (P·C(h,n−1,k))[i,·] for every k < n at
+// once, straight into the current bank's row: at phases k+1 if the row is
+// up in band h (the up-sweep reads P·C(h,n−1,k−1) at phase k), at phases
+// k otherwise (the down-sweep reads P·C(h,n−1,k) at phase k). Every
+// product is zeroed and then accumulated in stored-entry order, the
+// arithmetic of sparse.MulBlockRows, and each sweep step overwrites the
+// product it consumes. Pⁿ advances in the same way.
+//
+// Batching: the level matrices cover every band h, so they are
+// target-independent — a target only selects which band it reads and the
+// binomial row binoms[ti] it weights the read with. Each additional target
+// therefore costs one extra n×g accumulator and one binomial row per
+// level, while the recursion itself (the dominant O(m·N²·nnz) row
+// products) runs once for the whole batch. For each target the
 // accumulation performs the identical floating-point operations in the
 // identical order as a single-target run, so batch results are bitwise
 // equal to unbatched ones.
 //
-// Column slicing is exact: every operation of the recursion — the PC
-// products (P·C)[i,j] = Σ_l P[i,l]·C[l,j], the Pⁿ update, the up/down
-// convex-combination sweeps and the hMat/tMat accumulation — computes
-// entry (i,j) from column-j entries only, so restricting to the goal
-// columns performs, entry for entry, the identical floating-point
-// operations in the identical order as the full-width recursion.
+// Column slicing is exact: every operation — the row products, the Pⁿ
+// update, the up/down convex-combination sweeps and the hMat/tMat
+// accumulation — computes entry (i,j) from column-j entries only, so
+// restricting to the goal columns performs, entry for entry, the identical
+// floating-point operations in the identical order as the full-width
+// recursion.
 //
-// Concurrency: the whole per-level computation is row-independent. For a
-// fixed row i, the PC products and the Pⁿ update read only the previous
-// level's matrices (immutable within the level), and the up/down sweeps
-// read only entries of row i: the up-sweep base C(h,n,0) = C(h−1,n,n)
-// stays in row i, and up(h,i) ⇒ up(h−1,i) guarantees that same-row value
-// was produced by this row's own band-(h−1) sweep; dually for the
-// down-sweep base via ¬up(h,i) ⇒ ¬up(h+1,i). The accumulation into
-// hMat/tMat is row-local too, so each level needs exactly one parallel
-// region over contiguous row ranges, with every row computed in the
-// sequential order — results are bitwise identical for every workers
-// value.
+// Concurrency: a level is row-independent. Row i's products read only the
+// previous bank and Pⁿ⁻¹ (immutable within the level), and its sweeps read
+// only row i: the up-sweep base C(h,n,0) = C(h−1,n,n), and up(h,i) ⇒
+// up(h−1,i) guarantees that value was produced by this row's own
+// band-(h−1) up-sweep; dually the down-sweep base C(h,n,n) = C(h+1,n,0)
+// comes from this row's band-(h+1) down-sweep via ¬up(h,i) ⇒ ¬up(h+1,i).
+// The hMat/tMat accumulation is row-local too, so a level is one
+// parallel.For over rows, with every row computed in the sequential order
+// — results are bitwise identical for every workers value. A level fans
+// out once its work reaches grain.
 //
-// Allocation: every n×g buffer is checked out of pool (nil-safe). The
-// leased bank buffers are checked back in before run returns — always by
-// the goroutine that owns the sequential bank bookkeeping, never inside
-// the parallel region; only the returned hMats/tMat stay checked out, and
-// ReachProbBatch returns those after summing.
-func run(p *sparse.CSR, rho, bands []float64, targets []target, poisPMF func(int) float64, lf []float64, nSteps, workers int, cols []int, pool *sparse.VecPool) (hMats [][]float64, tMat []float64) {
+// Allocation: the slab and the returned matrices are checked out of pool
+// (nil-safe) by the goroutine that runs the level loop, never inside the
+// parallel region. The slab is checked back in before run returns; only
+// hMats/tMat stay checked out, and ReachProbBatch returns those after
+// summing.
+func (rc *recursion) run() (hMats [][]float64, tMat []float64) {
+	p, rho, bands, targets, cols := rc.p, rc.rho, rc.bands, rc.targets, rc.cols
 	n := p.Dim()
 	g := len(cols)
 	mBands := len(bands) - 1
-	if n*g < runGrain {
-		workers = 1
-	}
+	nSteps := rc.nSteps
+	stride := (nSteps + 1) * g // one row of a band block
+	blk := n * stride          // one band block
 
-	// Row classification per band: up(h, i) ⇔ ρ_i ≥ ρ_h. Because bands are
-	// consecutive distinct rewards, ¬up(h,i) ⇔ ρ_i ≤ ρ_{h−1}.
-	up := make([][]bool, mBands+1)
-	for h := 1; h <= mBands; h++ {
-		up[h] = make([]bool, n)
-		for i := 0; i < n; i++ {
-			up[h][i] = rho[i] >= bands[h]
+	// top[i] is the highest band h with up(h, i) ⇔ ρ_i ≥ ρ_h, 0 if none.
+	// Bands are consecutive distinct rewards, so up(h, i) ⇔ h ≤ top[i] and
+	// ¬up(h, i) ⇔ ρ_i ≤ ρ_{h−1}.
+	top := make([]int, n)
+	for i := range top {
+		for top[i] < mBands && rho[i] >= bands[top[i]+1] {
+			top[i]++
 		}
 	}
 
+	slab := rc.pool.Get(slabLen(n, g, mBands, nSteps))
 	sz := n * g
-	// All n×g buffers of the recursion are carved out of one pooled slab.
-	// The live set is known upfront — per band, the PC products hold one
-	// buffer per level and the two rotating C banks grow to nSteps+1
-	// buffers each, plus Pⁿ and its predecessor — so a single Get covers
-	// the whole recursion and one Put checks it back in, regardless of how
-	// the bank rotation below aliases the [][]float64 headers.
-	nBufs := 2 + mBands*nSteps + 2*mBands*(nSteps+1)
-	slab := pool.Get(nBufs * sz)
-	off := 0
-	newBank := func() []float64 {
-		b := slab[off : off+sz : off+sz]
-		off += sz
-		return b
+	pn, pnNext := slab[:sz:sz], slab[sz:2*sz:2*sz]
+	bankLen := mBands * blk
+	cur := slab[2*sz : 2*sz+bankLen : 2*sz+bankLen]
+	prev := slab[2*sz+bankLen:]
+	// band returns row i of band h's block in bank b, phases 0..N.
+	band := func(b []float64, h, i int) []float64 {
+		off := (h-1)*blk + i*stride
+		return b[off : off+stride : off+stride]
 	}
-
-	// C matrices for the previous and current level: cur[h][k], h ∈ 1..m,
-	// k ∈ 0..level. Two banks of matrices are swapped between levels so
-	// the O(m·N) matrices are allocated once, not once per level.
-	prev := make([][][]float64, mBands+1)
-	cur := make([][][]float64, mBands+1)
-	spare := make([][][]float64, mBands+1) // bank reused as the next cur
-	pc := make([][][]float64, mBands+1)    // pc[h][k] = P·prev[h][k]
-
-	// Pⁿ (restricted to the carried columns) and its predecessor:
-	// P⁰[i, cols[j]] = 1 iff i = cols[j].
-	pn := newBank()
-	for j, col := range cols {
-		pn[col*g+j] = 1
-	}
-	pnNext := newBank()
 
 	hMats = make([][]float64, len(targets))
 	for ti := range hMats {
-		hMats[ti] = pool.Get(sz)
+		hMats[ti] = rc.pool.Get(sz)
 	}
-	tMat = pool.Get(sz)
+	tMat = rc.pool.Get(sz)
 
 	// Binomial pmf rows of the current level, one per target, recomputed
-	// sequentially before each level's parallel region (read-only inside
-	// it) — once per level, not once per worker.
+	// before each level's parallel region (read-only inside it).
 	binoms := make([][]float64, len(targets))
 	for ti := range binoms {
 		binoms[ti] = make([]float64, nSteps+1)
 	}
 
-	// Level n = 0: C(h,0,0) = diag(1{up(h,i)}), restricted columns. The
-	// bank headers are sized for the whole run upfront, so the rotation
-	// below never re-allocates them.
-	for h := 1; h <= mBands; h++ {
-		c := newBank()
-		for j, col := range cols {
-			if up[h][col] {
-				c[col*g+j] = 1
-			}
-		}
-		bank := make([][]float64, 1, nSteps+1)
-		bank[0] = c
-		cur[h] = bank
-	}
-	accumulate := func(level int) {
-		w := poisPMF(level)
-		if w == 0 {
-			return
-		}
-		for idx := 0; idx < sz; idx++ {
-			tMat[idx] += w * pn[idx]
-		}
-		for ti := range targets {
-			numeric.BinomialRow(lf, level, targets[ti].x, binoms[ti])
-			ck := cur[targets[ti].h]
-			hM := hMats[ti]
-			for k := 0; k <= level; k++ {
-				bw := binoms[ti][k]
-				if bw == 0 {
-					continue
-				}
-				c := ck[k]
-				f := w * bw
-				for idx := 0; idx < sz; idx++ {
-					hM[idx] += f * c[idx]
-				}
-			}
-		}
-	}
-	accumulate(0)
-
-	// The per-level parallel body is hoisted out of the level loop (its
-	// level-dependent inputs are captured by reference) so the loop does
-	// not allocate a fresh closure per level. The row products go through
-	// sparse.MulBlockRows — the multi-vector kernel's row-range core, one
-	// read of the matrix's stored entries per row for all g carried
-	// columns, with a register specialisation at g = 1; its zero-then-
-	// accumulate order in CSR entry order keeps the products bitwise
-	// identical to the previous hand-rolled flatten.
 	var (
 		level int
 		w     float64
 	)
-	levelBody := func(lo, hi int) {
-		// PC[h][k] = P·C(h, level−1, k) and Pⁿ, rows lo..hi−1.
-		for h := 1; h <= mBands; h++ {
-			for k := 0; k < level; k++ {
-				p.MulBlockRows(pc[h][k], prev[h][k], g, lo, hi)
-			}
+	// accumulate adds row i of level `level` into tMat and every target's
+	// hMat: Pⁿ from pnRow, the C matrices from the current bank, phases in
+	// increasing order.
+	accumulate := func(i int, pnRow []float64) {
+		tRow := tMat[i*g : (i+1)*g]
+		for j := range tRow {
+			tRow[j] += w * pnRow[j]
 		}
-		p.MulBlockRows(pnNext, pn, g, lo, hi)
-		// Up-row sweep: increasing h, increasing k.
-		for h := 1; h <= mBands; h++ {
-			dh := bands[h] - bands[h-1]
-			for i := lo; i < hi; i++ {
-				if !up[h][i] {
-					continue
-				}
-				row := i * g
-				// Base k = 0.
-				var baseRow []float64
-				if h == 1 {
-					baseRow = pnNext
-				} else {
-					baseRow = cur[h-1][level]
-				}
-				copy(cur[h][0][row:row+g], baseRow[row:row+g])
-				// k = 1..level.
-				a := (rho[i] - bands[h]) / (rho[i] - bands[h-1])
-				b := dh / (rho[i] - bands[h-1])
-				for k := 1; k <= level; k++ {
-					dst := cur[h][k]
-					prevK := cur[h][k-1]
-					pck := pc[h][k-1]
-					for j := 0; j < g; j++ {
-						dst[row+j] = a*prevK[row+j] + b*pck[row+j]
+		for ti, tg := range targets {
+			row := band(cur, tg.h, i)
+			hRow := hMats[ti][i*g : (i+1)*g]
+			if g == 1 {
+				// The running sum is carried in a register; same additions.
+				s := hRow[0]
+				for k, bw := range binoms[ti][:level+1] {
+					if bw == 0 {
+						continue
 					}
+					s += w * bw * row[k]
 				}
+				hRow[0] = s
+				continue
 			}
-		}
-		// Down-row sweep: decreasing h, decreasing k.
-		for h := mBands; h >= 1; h-- {
-			dh := bands[h] - bands[h-1]
-			for i := lo; i < hi; i++ {
-				if up[h][i] {
-					continue
-				}
-				row := i * g
-				// Base k = level: C(h,n,n) = C(h+1,n,0), or 0 in the top
-				// band (explicitly cleared — the buffers are recycled).
-				if h < mBands {
-					copy(cur[h][level][row:row+g], cur[h+1][0][row:row+g])
-				} else {
-					base := cur[h][level]
-					for j := 0; j < g; j++ {
-						base[row+j] = 0
-					}
-				}
-				a := (bands[h-1] - rho[i]) / (bands[h] - rho[i])
-				b := dh / (bands[h] - rho[i])
-				for k := level - 1; k >= 0; k-- {
-					dst := cur[h][k]
-					nextK := cur[h][k+1]
-					pck := pc[h][k]
-					for j := 0; j < g; j++ {
-						dst[row+j] = a*nextK[row+j] + b*pck[row+j]
-					}
-				}
-			}
-		}
-		// Accumulate rows lo..hi−1 into tMat and every target's hMat
-		// (row-local writes).
-		if w == 0 {
-			return
-		}
-		for idx := lo * g; idx < hi*g; idx++ {
-			tMat[idx] += w * pnNext[idx]
-		}
-		for ti := range targets {
-			ck := cur[targets[ti].h]
-			hM := hMats[ti]
 			for k := 0; k <= level; k++ {
 				bw := binoms[ti][k]
 				if bw == 0 {
 					continue
 				}
-				c := ck[k]
+				c := row[k*g : (k+1)*g]
 				f := w * bw
-				for idx := lo * g; idx < hi*g; idx++ {
-					hM[idx] += f * c[idx]
+				for j := range hRow {
+					hRow[j] += f * c[j]
 				}
 			}
 		}
 	}
 
-	for level = 1; level <= nSteps; level++ {
-		// Bank bookkeeping stays sequential: swap the matrix banks and make
-		// sure every buffer the parallel region will write exists.
-		for h := 1; h <= mBands; h++ {
-			prev[h], spare[h] = cur[h], prev[h]
-			if pc[h] == nil {
-				pc[h] = make([][]float64, nSteps)
-			}
-			for k := 0; k < level; k++ {
-				if pc[h][k] == nil {
-					pc[h][k] = newBank()
-				}
-			}
-			// Recycle the level-2 bank; every entry is fully overwritten
-			// by the sweeps below except the explicitly cleared base case.
-			bank := spare[h]
-			if cap(bank) < level+1 {
-				grown := make([][]float64, level+1, nSteps+1)
-				copy(grown, bank)
-				bank = grown
-			}
-			bank = bank[:level+1]
-			for k := 0; k <= level; k++ {
-				if bank[k] == nil {
-					bank[k] = newBank()
-				}
-			}
-			cur[h] = bank
+	// Level n = 0: P⁰[i, cols[j]] = 1 iff i = cols[j], and C(h,0,0) =
+	// diag(1{up(h,i)}) on the carried columns.
+	for j, col := range cols {
+		pn[col*g+j] = 1
+		for h := 1; h <= top[col]; h++ {
+			band(cur, h, col)[j] = 1
 		}
+	}
+	if w = rc.poisPMF(0); w != 0 {
+		for ti, tg := range targets {
+			numeric.BinomialRow(rc.lf, 0, tg.x, binoms[ti])
+		}
+		for i := 0; i < n; i++ {
+			accumulate(i, pn[i*g:(i+1)*g])
+		}
+	}
 
-		// One parallel region per level: each worker owns a contiguous row
-		// range and runs the full per-row pipeline — PC products, the Pⁿ
-		// update (into pnNext, which holds P^level until the swap below),
-		// the up/down sweeps and the accumulation — in sequential order.
-		w = poisPMF(level)
-		if w != 0 {
-			for ti := range targets {
-				numeric.BinomialRow(lf, level, targets[ti].x, binoms[ti])
+	// The per-level body is hoisted out of the level loop (level, w and the
+	// banks are captured by reference) so the loop does not allocate a
+	// fresh closure per level.
+	levelBody := func(lo, hi int) {
+		width := level * g // phases 0..level−1 of a row
+		for i := lo; i < hi; i++ {
+			idx, vals := p.RowRange(i)
+			pnRow := pnNext[i*g : (i+1)*g]
+			mulRow(pnRow, pn, idx, vals, g)
+			// Up-rows: increasing h, increasing k.
+			for h := 1; h <= top[i]; h++ {
+				row := band(cur, h, i)
+				mulRow(row[g:g+width], prev[(h-1)*blk:h*blk], idx, vals, stride)
+				if h == 1 {
+					copy(row[:g], pnRow)
+				} else {
+					copy(row[:g], band(cur, h-1, i)[width:width+g])
+				}
+				a := (rho[i] - bands[h]) / (rho[i] - bands[h-1])
+				b := (bands[h] - bands[h-1]) / (rho[i] - bands[h-1])
+				sweepUp(row[:width+g], g, a, b)
 			}
+			// Down-rows: decreasing h, decreasing k. The base phase is
+			// C(h+1,n,0), or 0 in the top band: there phase n of the
+			// current bank is still zero, since the bank last held level
+			// n−2 and the slab comes zeroed.
+			for h := mBands; h > top[i]; h-- {
+				row := band(cur, h, i)
+				mulRow(row[:width], prev[(h-1)*blk:h*blk], idx, vals, stride)
+				if h < mBands {
+					copy(row[width:width+g], band(cur, h+1, i)[:g])
+				}
+				a := (bands[h-1] - rho[i]) / (bands[h] - rho[i])
+				b := (bands[h] - bands[h-1]) / (bands[h] - rho[i])
+				sweepDown(row[:width+g], g, a, b)
+			}
+			if w != 0 {
+				accumulate(i, pnRow)
+			}
+		}
+	}
+
+	work := mBands * (p.NNZ() + n) * g
+	for level = 1; level <= nSteps; level++ {
+		prev, cur = cur, prev
+		w = rc.poisPMF(level)
+		if w != 0 {
+			for ti, tg := range targets {
+				numeric.BinomialRow(rc.lf, level, tg.x, binoms[ti])
+			}
+		}
+		workers := rc.workers
+		if level*work < rc.grain {
+			workers = 1
 		}
 		parallel.For(workers, n, levelBody)
 		pn, pnNext = pnNext, pn
 	}
-	// Check the slab back in (hMats/tMat stay out; the caller returns them
-	// after the goal-column summation).
-	pool.Put(slab)
+	rc.pool.Put(slab)
 	return hMats, tMat
+}
+
+// sweepUp runs the up-sweep C(h,n,k) = a·C(h,n,k−1) + b·(P·C(h,n−1,k−1))
+// over a row's phases 1..len(row)/g−1, each of which holds its product on
+// entry. At g = 1 the previous phase is carried in a register; the
+// arithmetic is the same.
+func sweepUp(row []float64, g int, a, b float64) {
+	if g == 1 {
+		c := row[0]
+		for x := 1; x < len(row); x++ {
+			c = a*c + b*row[x]
+			row[x] = c
+		}
+		return
+	}
+	for x := g; x < len(row); x++ {
+		row[x] = a*row[x-g] + b*row[x]
+	}
+}
+
+// sweepDown runs the down-sweep C(h,n,k) = a·C(h,n,k+1) + b·(P·C(h,n−1,k))
+// over a row's phases len(row)/g−2..0, each of which holds its product on
+// entry, in decreasing order.
+func sweepDown(row []float64, g int, a, b float64) {
+	if g == 1 {
+		c := row[len(row)-1]
+		for x := len(row) - 2; x >= 0; x-- {
+			c = a*c + b*row[x]
+			row[x] = c
+		}
+		return
+	}
+	for x := len(row) - g - 1; x >= 0; x-- {
+		row[x] = a*row[x+g] + b*row[x]
+	}
+}
+
+// mulRow sets dst to Σ_e vals[e]·src[idx[e]·stride:][:len(dst)] — one row
+// of a sparse product against the len(dst) leading entries of src's
+// stride-spaced rows. dst is zeroed first and accumulated in stored-entry
+// order: per destination entry, the arithmetic of sparse.MulBlockRows (of
+// its register form at g = 1 too, since 0 + x = x exactly). Entries are
+// taken four, two and one at a time; within a group the additions still
+// run one entry after the other, so grouping only saves loads and stores
+// of dst.
+func mulRow(dst, src []float64, idx []int, vals []float64, stride int) {
+	clear(dst)
+	n := len(dst)
+	e := 0
+	for ; e+4 <= len(idx); e += 4 {
+		v0, v1, v2, v3 := vals[e], vals[e+1], vals[e+2], vals[e+3]
+		s0 := src[idx[e]*stride:][:n]
+		s1 := src[idx[e+1]*stride:][:n]
+		s2 := src[idx[e+2]*stride:][:n]
+		s3 := src[idx[e+3]*stride:][:n]
+		for x := range dst {
+			dst[x] = dst[x] + v0*s0[x] + v1*s1[x] + v2*s2[x] + v3*s3[x]
+		}
+	}
+	if e+2 <= len(idx) {
+		v0, v1 := vals[e], vals[e+1]
+		s0 := src[idx[e]*stride:][:n]
+		s1 := src[idx[e+1]*stride:][:n]
+		for x := range dst {
+			dst[x] = dst[x] + v0*s0[x] + v1*s1[x]
+		}
+		e += 2
+	}
+	if e < len(idx) {
+		v := vals[e]
+		s := src[idx[e]*stride:][:n]
+		for x := range dst {
+			dst[x] += v * s[x]
+		}
+	}
 }
 
 // splitBudget divides the ε budget between the two truncating legs of a

@@ -11,7 +11,7 @@ const poolCapPerSize = 256
 
 // VecPool recycles float64 scratch buffers across the numerical kernels.
 // Buffers are keyed by exact length, so one pool serves mixed sizes (state
-// vectors, n×g Sericola bank matrices, n·(R+1) discretisation grids) at
+// vectors, the Sericola recursion's slab, n·(R+1) discretisation grids) at
 // once. The zero value is not usable; construct with NewVecPool. All
 // methods are safe for concurrent use and nil-receiver-safe: a nil *VecPool
 // degrades to plain allocation, so every call site can thread an optional
