@@ -36,28 +36,25 @@ lint-consistency:
 lint-dataflow:
 	$(GO) run ./cmd/mrmlint -enable=epsbudget,ledgercharge,poolescape ./...
 
+# The lint leg writes the cold-vs-warm record of the incremental cache
+# under .bench_build/ (gitignored) and fails when the warm cached run is
+# not at least twice as fast as cold or its -json stream diverges.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x . ./internal/lump ./internal/sericola
-	$(GO) run ./cmd/perfbench -compare
-	$(GO) run ./cmd/perfbench -json BENCH_PR7.json -workers-sweep
-	$(GO) run ./cmd/mrmlint -bench-json BENCH_PR8.json ./...
-	$(GO) run ./cmd/perfbench -scale-json BENCH_PR9.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/mrmlint -bench-json .bench_build/mrmlint-bench.json ./...
 
-# Compare a fresh benchmark run against the committed performance trail;
-# exits non-zero on >20% time or >10% allocation regressions, and refuses
-# outright when the baseline was recorded on a different CPU count
-# (baselines are per machine class — regenerate with bench-smoke).
-# The lint leg re-times cold vs warm into a scratch file (the committed
-# BENCH_PR8.json is the recorded trail) and fails when the warm cached
-# run is not at least twice as fast as cold or replay diverges.
-# The scale leg validates the committed BENCH_PR9.json invariants (≥10^5
-# states, ≥5× truncated speedup, truncation budget ≤ ε), re-proves the
-# budget live on a smaller cluster instance, and gates the automatic lump
-# pre-pass against noise on the 9-state seed model.
+# The performance gates that run on any machine: the truncated scale gate
+# on cluster:60 (dense vs truncated agreement, budget proof, peak active
+# window <= n/10), the station Q3 memo gate, the seed-model lump overhead
+# gate (median lump-auto/lump-off <= 1.5x), the Sericola batch recursion
+# count, and the lint cache's cold-vs-warm gate. The end-to-end benchmark
+# is BENCHMARK.json (bash csrlbench/run.sh).
 bench-check:
-	$(GO) run ./cmd/perfbench -baseline BENCH_PR7.json -workers-sweep
-	$(GO) run ./cmd/mrmlint -bench-json /tmp/mrmlint-bench-check.json ./...
-	$(GO) run ./cmd/perfbench -scale-check BENCH_PR9.json
+	$(GO) test -count=1 -run 'TestClusterTruncatedScaleGate|TestStationQ3RepeatsAddNoMemoMisses|TestSeedLumpOverheadWithinNoise' ./internal/core
+	$(GO) test -count=1 -run 'TestBatchRunsOneRecursion' ./internal/sericola
+	mkdir -p .bench_build
+	$(GO) run ./cmd/mrmlint -bench-json .bench_build/mrmlint-bench-check.json ./...
 
 # The service acceptance smoke: an in-process csrld on a real listener,
 # station model uploaded over HTTP, 8 concurrent queries fired twice.

@@ -234,8 +234,7 @@ func BenchmarkRectangleUntil(b *testing.B) {
 // BenchmarkParallelWorkers is the sequential-vs-parallel pair for the P3
 // procedures' parallel engine: each sub-benchmark runs the same workload
 // with Workers: 1 (the exact legacy path) and Workers: 0 (all CPUs). On a
-// single-core machine the pair should be a wash; the speedup column of
-// `perfbench -compare` reports the same contrast with wall-clock times.
+// single-core machine the pair should be a wash.
 func BenchmarkParallelWorkers(b *testing.B) {
 	m, goal, _ := q3Setup(b)
 	for _, bench := range []struct {
@@ -373,7 +372,11 @@ func BenchmarkAblationSparseVsDenseMatVec(b *testing.B) {
 			p.MulVec(y, x)
 		}
 	})
-	dense := p.Dense()
+	dense := make([][]float64, n)
+	for r := range dense {
+		dense[r] = make([]float64, n)
+	}
+	p.Each(func(r, c int, v float64) { dense[r][c] = v })
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -12,12 +12,12 @@ import (
 	"github.com/performability/csrl/internal/lint"
 )
 
-// lintBenchReport is the committed performance trail for the incremental
-// cache (BENCH_PR8.json), shaped like the perfbench reports: a records
-// list for cross-PR tooling plus a lint block with the gate inputs. The
-// gate is warm_over_cold < 0.5 — a cache that saves less than half the
-// wall time is not pulling its weight — checked both here (the command
-// exits 1) and by `make bench-check`.
+// lintBenchReport is the cold-versus-warm record of the incremental
+// cache: a records list plus a lint block with the gate inputs. The gate
+// is warm_over_cold < 0.5 — a cache that saves less than half the wall
+// time is not pulling its weight — and the command exits 1 when it fails.
+// `make bench-smoke` and `make bench-check` write the record under
+// .bench_build/.
 type lintBenchReport struct {
 	Generated string            `json:"generated"`
 	GoVersion string            `json:"go_version"`

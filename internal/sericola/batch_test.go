@@ -3,7 +3,9 @@ package sericola
 import (
 	"testing"
 
+	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -168,5 +170,41 @@ func TestBatchSharesPool(t *testing.T) {
 	}
 	if after := pool.Stats().AllocBytes; after != before {
 		t.Errorf("second batch allocated %d fresh bytes; every buffer should have been recycled", after-before)
+	}
+}
+
+// TestBatchRunsOneRecursion is the count gate of batching: a
+// ReachProbBatch of g = 4 reward bounds on the station's Q3 reduction
+// records one sericola.recursion span, where four ReachProbAll calls over
+// the same bounds record four.
+func TestBatchRunsOneRecursion(t *testing.T) {
+	red, err := adhoc.Q3Reduced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := red.Model
+	goal := m.Label("goal")
+	rs := []float64{150, 350, adhoc.Q3PaperRewardBound, 700}
+	recursions := func(run func(opts Options) error) int64 {
+		rec := obs.New()
+		if err := run(Options{Epsilon: 1e-8, Lambda: adhoc.PaperLambda, Obs: rec}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Report(1e-8).Spans["sericola.recursion"].Count
+	}
+	batched := recursions(func(opts Options) error {
+		_, err := ReachProbBatch(m, goal, adhoc.Q3TimeBound, rs, opts)
+		return err
+	})
+	individual := recursions(func(opts Options) error {
+		for _, r := range rs {
+			if _, err := ReachProbAll(m, goal, adhoc.Q3TimeBound, r, opts); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if batched != 1 || individual != int64(len(rs)) {
+		t.Errorf("sericola.recursion spans: batched %d, individual %d; want 1 and %d", batched, individual, len(rs))
 	}
 }

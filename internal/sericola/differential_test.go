@@ -306,7 +306,7 @@ func FuzzRecursion(f *testing.F) {
 			return
 		}
 		if dc.goal.IsEmpty() {
-			// The reference's sparse.MulBlockRows needs at least one
+			// The reference's mulBlockRows needs at least one
 			// carried column; the fused pass carries none and every
 			// value is 0.
 			got := dc.run((*recursion).run)

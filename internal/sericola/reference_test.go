@@ -3,15 +3,45 @@ package sericola
 import (
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/sparse"
 )
 
 // referenceGrain is the fan-out threshold of referenceRun: the matrix size
 // n·g before its per-level row sweeps fan out across workers.
 const referenceGrain = 2048
 
+// mulBlockRows computes rows [lo, hi) of dst = P·src for n×g row-major
+// slabs. Each dst row is zeroed and then accumulated in stored-entry
+// order, with a register form at g = 1: IEEE-754 rounds each += to a
+// double either way, so column j of the result equals MulVec applied to
+// column j of src. dst and src must not alias.
+func mulBlockRows(p *sparse.CSR, dst, src []float64, g, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		cols, vals := p.RowRange(i)
+		if g == 1 {
+			var s float64
+			for k, c := range cols {
+				s += vals[k] * src[c]
+			}
+			dst[i] = s
+			continue
+		}
+		drow := dst[i*g : (i+1)*g]
+		for j := range drow {
+			drow[j] = 0
+		}
+		for k, c := range cols {
+			v := vals[k]
+			for j, sv := range src[c*g : (c+1)*g] {
+				drow[j] += v * sv
+			}
+		}
+	}
+}
+
 // referenceRun is the band-by-band recursion: every level multiplies P
 // into each band's and phase's previous C matrix with one
-// sparse.MulBlockRows call, keeps the products in their own banks and
+// mulBlockRows call, keeps the products in their own banks and
 // then runs the up/down sweeps band by band over a row range. It is the
 // oracle the fused row pass of recursion.run must match bit for bit —
 // hMats, tMat and hence every ReachProbBatch value. It ignores rc.grain.
@@ -125,7 +155,7 @@ func referenceRun(rc *recursion) (hMats [][]float64, tMat []float64) {
 	// The per-level parallel body is hoisted out of the level loop (its
 	// level-dependent inputs are captured by reference) so the loop does
 	// not allocate a fresh closure per level. The row products go through
-	// sparse.MulBlockRows — the multi-vector kernel's row-range core, one
+	// mulBlockRows — the multi-vector kernel's row-range core, one
 	// read of the matrix's stored entries per row for all g carried
 	// columns, with a register specialisation at g = 1; its zero-then-
 	// accumulate order in CSR entry order keeps the products bitwise
@@ -138,10 +168,10 @@ func referenceRun(rc *recursion) (hMats [][]float64, tMat []float64) {
 		// PC[h][k] = P·C(h, level−1, k) and Pⁿ, rows lo..hi−1.
 		for h := 1; h <= mBands; h++ {
 			for k := 0; k < level; k++ {
-				p.MulBlockRows(pc[h][k], prev[h][k], g, lo, hi)
+				mulBlockRows(p, pc[h][k], prev[h][k], g, lo, hi)
 			}
 		}
-		p.MulBlockRows(pnNext, pn, g, lo, hi)
+		mulBlockRows(p, pnNext, pn, g, lo, hi)
 		// Up-row sweep: increasing h, increasing k.
 		for h := 1; h <= mBands; h++ {
 			dh := bands[h] - bands[h-1]

@@ -454,8 +454,8 @@ type recursion struct {
 // up in band h (the up-sweep reads P·C(h,n−1,k−1) at phase k), at phases
 // k otherwise (the down-sweep reads P·C(h,n−1,k) at phase k). Every
 // product is zeroed and then accumulated in stored-entry order, the
-// arithmetic of sparse.MulBlockRows, and each sweep step overwrites the
-// product it consumes. Pⁿ advances in the same way.
+// arithmetic of MulVec per carried column, and each sweep step overwrites
+// the product it consumes. Pⁿ advances in the same way.
 //
 // Batching: the level matrices cover every band h, so they are
 // target-independent — a target only selects which band it reads and the
@@ -692,11 +692,10 @@ func sweepDown(row []float64, g int, a, b float64) {
 // mulRow sets dst to Σ_e vals[e]·src[idx[e]·stride:][:len(dst)] — one row
 // of a sparse product against the len(dst) leading entries of src's
 // stride-spaced rows. dst is zeroed first and accumulated in stored-entry
-// order: per destination entry, the arithmetic of sparse.MulBlockRows (of
-// its register form at g = 1 too, since 0 + x = x exactly). Entries are
-// taken four, two and one at a time; within a group the additions still
-// run one entry after the other, so grouping only saves loads and stores
-// of dst.
+// order: per destination entry, the arithmetic of MulVec's register
+// accumulation, since 0 + x = x exactly. Entries are taken four, two and
+// one at a time; within a group the additions still run one entry after
+// the other, so grouping only saves loads and stores of dst.
 func mulRow(dst, src []float64, idx []int, vals []float64, stride int) {
 	clear(dst)
 	n := len(dst)

@@ -1,16 +1,14 @@
 package sparse
 
 import (
-	"math/bits"
 	"sort"
-	"sync"
 
 	"github.com/performability/csrl/internal/parallel"
 )
 
-// parGrain is the minimum number of stored entries before the parallel
-// kernels fan out; below it the scheduling overhead dominates and the
-// sequential kernels are used directly.
+// parGrain is the minimum number of stored entries before MulVecPar fans
+// out; below it the scheduling overhead dominates and the sequential
+// kernel is used directly.
 const parGrain = 1024
 
 // MulVecPar computes dst = M·x like MulVec, partitioned across workers.
@@ -46,147 +44,10 @@ func (m *CSR) MulVecPar(dst, x []float64, workers int) {
 	parallel.Do(tasks...)
 }
 
-// scatterCapPerClass bounds how many free buffers one capacity class
-// retains; it only needs to cover the worker fan-out of a single kernel
-// call, so a small bound keeps the cache's footprint proportional to the
-// models actually in use.
-const scatterCapPerClass = 16
-
-// scatterCache recycles the per-worker scatter buffers of the transpose
-// kernels, bucketed by power-of-two capacity class. The previous
-// sync.Pool-based cache recycled any buffer whose capacity covered the
-// request, so after one large model every later small-model check kept
-// pinning O(workers·n_max) memory. Bucketing fixes that: a request of
-// length n is served only from the class holding capacity 2^⌈log2 n⌉
-// (at most 2× the request), large-model buffers stay in their own class,
-// and each class is bounded by scatterCapPerClass. Buffers whose capacity
-// is not exactly a class size (e.g. resliced by a caller) are dropped on
-// put rather than filed under a class they don't fill.
-type scatterCache struct {
-	mu   sync.Mutex
-	free map[int][][]float64 // guarded by mu; capacity class (log2) → free buffers
-}
-
-var scatters = scatterCache{free: make(map[int][][]float64)}
-
-// capClass returns the power-of-two capacity class for a request of
-// length n: the smallest c with 1<<c ≥ n.
-func capClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// get returns a buffer of length n with capacity 1<<capClass(n). The
-// contents are unspecified; callers zero what they need (the scatter
-// kernels overwrite every element anyway).
-func (c *scatterCache) get(n int) []float64 {
-	cls := capClass(n)
-	c.mu.Lock()
-	list := c.free[cls]
-	if len(list) > 0 {
-		buf := list[len(list)-1]
-		list[len(list)-1] = nil
-		c.free[cls] = list[:len(list)-1]
-		c.mu.Unlock()
-		return buf[:n]
-	}
-	c.mu.Unlock()
-	return make([]float64, n, 1<<cls)
-}
-
-// put files buf back under its capacity class, dropping it when the class
-// is full or the capacity is not an exact class size.
-func (c *scatterCache) put(buf []float64) {
-	cp := cap(buf)
-	if cp == 0 || cp&(cp-1) != 0 {
-		return
-	}
-	cls := bits.Len(uint(cp)) - 1
-	c.mu.Lock()
-	if len(c.free[cls]) < scatterCapPerClass {
-		c.free[cls] = append(c.free[cls], buf[:cp])
-	}
-	c.mu.Unlock()
-}
-
-// classLen reports how many free buffers a class holds (tests).
-func (c *scatterCache) classLen(cls int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.free[cls])
-}
-
-// reset empties the cache (tests).
-func (c *scatterCache) reset() {
-	c.mu.Lock()
-	c.free = make(map[int][][]float64)
-	c.mu.Unlock()
-}
-
-// MulVecTPar computes dst = Mᵀ·x like MulVecT, partitioned across workers.
-// Each worker scatters its row range into a private buffer; the buffers
-// are then reduced into dst in a parallel sweep over column ranges. The
-// reduction adds per-worker partial sums in worker order, which may
-// reassociate floating-point addition relative to MulVecT; results agree
-// with the sequential kernel up to roundoff (exactly when each column is
-// touched by at most one worker).
-//
-//numerics:order-invariant fanout=rowCuts the gather folds the rowCuts partition in worker order; results are deterministic at a fixed workers value and agree with MulVecT up to roundoff
-func (m *CSR) MulVecTPar(dst, x []float64, workers int) {
-	if len(dst) != m.n || len(x) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulVecTPar dimension mismatch")
-	}
-	w := parallel.Resolve(workers)
-	if w == 1 || m.NNZ() < parGrain || m.n < 2 {
-		m.MulVecT(dst, x)
-		return
-	}
-	cuts := m.rowCuts(w)
-	nParts := len(cuts) - 1
-	bufs := make([][]float64, nParts)
-	scatter := make([]func(), 0, nParts)
-	for c := 0; c < nParts; c++ {
-		c := c
-		lo, hi := cuts[c], cuts[c+1]
-		scatter = append(scatter, func() {
-			buf := scatters.get(m.n)
-			for i := range buf {
-				buf[i] = 0
-			}
-			for i := lo; i < hi; i++ {
-				xi := x[i]
-				if xi == 0 {
-					continue
-				}
-				for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-					buf[m.col[k]] += m.val[k] * xi
-				}
-			}
-			bufs[c] = buf
-		})
-	}
-	parallel.Do(scatter...)
-	parallel.For(w, m.n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var s float64
-			for _, buf := range bufs {
-				s += buf[j]
-			}
-			dst[j] = s
-		}
-	})
-	for _, buf := range bufs {
-		scatters.put(buf)
-	}
-}
-
 // rowCuts returns w+1 monotone row boundaries [0=c0 <= c1 <= … <= cw=n]
 // such that each range [ci, ci+1) holds roughly NNZ/w stored entries.
-// The boundaries depend only on the matrix and w, keeping the parallel
-// kernels deterministic.
+// The boundaries depend only on the matrix and w, keeping MulVecPar
+// deterministic.
 func (m *CSR) rowCuts(w int) []int {
 	if w > m.n {
 		w = m.n

@@ -198,27 +198,6 @@ func (m *CSR) MulVecT(dst, x []float64) {
 	}
 }
 
-// MulMat computes C = M·B where B and C are dense n×n matrices stored
-// row-major as [][]float64. C must be preallocated and must not alias B.
-func (m *CSR) MulMat(c, b [][]float64) {
-	if len(c) != m.n || len(b) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulMat dimension mismatch")
-	}
-	for i := 0; i < m.n; i++ {
-		ci := c[i]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			v, bj := m.val[k], b[m.col[k]]
-			for j, bv := range bj {
-				ci[j] += v * bv
-			}
-		}
-	}
-}
-
 // Transpose returns a new matrix Mᵀ.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{
@@ -285,19 +264,6 @@ func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
 		}
 	}
 	return NewFromTriplets(m.n, ts)
-}
-
-// Dense returns the matrix as a dense row-major [][]float64.
-func (m *CSR) Dense() [][]float64 {
-	out := make([][]float64, m.n)
-	flat := make([]float64, m.n*m.n)
-	for i := 0; i < m.n; i++ {
-		out[i] = flat[i*m.n : (i+1)*m.n]
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[i][m.col[k]] = m.val[k]
-		}
-	}
-	return out
 }
 
 func (m *CSR) clone() *CSR {

@@ -166,20 +166,6 @@ func TestMulVecTMatchesTransposeMulVec(t *testing.T) {
 	}
 }
 
-func TestMulMat(t *testing.T) {
-	m := mustCSR(t, 2, []Triplet{
-		{Row: 0, Col: 1, Val: 2},
-		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1},
-	})
-	b := [][]float64{{1, 2}, {3, 4}}
-	c := [][]float64{make([]float64, 2), make([]float64, 2)}
-	m.MulMat(c, b)
-	want := [][]float64{{6, 8}, {4, 6}}
-	if !reflect.DeepEqual(c, want) {
-		t.Errorf("MulMat = %v, want %v", c, want)
-	}
-}
-
 func TestScaleAndScaleRows(t *testing.T) {
 	m := mustCSR(t, 2, []Triplet{{Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 0, Val: 4}})
 	s := m.Scale(0.5)
@@ -209,14 +195,6 @@ func TestAddDiagonal(t *testing.T) {
 	}
 	if d.At(0, 0) != 0 || d.At(1, 1) != 5 || d.At(0, 1) != 2 {
 		t.Errorf("AddDiagonal result wrong: %v", d)
-	}
-}
-
-func TestDense(t *testing.T) {
-	m := mustCSR(t, 2, []Triplet{{Row: 0, Col: 1, Val: 3}})
-	want := [][]float64{{0, 3}, {0, 0}}
-	if got := m.Dense(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Dense = %v, want %v", got, want)
 	}
 }
 

@@ -44,11 +44,11 @@ func TestSteadyDetectStopsEarly(t *testing.T) {
 	}
 	v := m.Label("sink").Indicator()
 
-	off, prodOff := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff}, false)
+	off, prodOff := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff})
 	if prodOff != w.Right {
 		t.Fatalf("detection off applied %d products, want the full window %d", prodOff, w.Right)
 	}
-	on, prodOn := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1}, false)
+	on, prodOn := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1})
 	if prodOn >= prodOff {
 		t.Fatalf("steady-state detection did not stop early: %d products vs %d", prodOn, prodOff)
 	}

@@ -64,8 +64,9 @@ type Options struct {
 	// Lambda overrides the uniformisation rate; 0 selects
 	// MRM.UniformisationRate automatically.
 	Lambda float64
-	// Workers bounds the parallelism of the matrix–vector sweeps:
-	// 0 = runtime.NumCPU(), 1 = the exact sequential legacy path.
+	// Workers bounds the parallelism of the backward matrix–vector sweeps:
+	// 0 = runtime.NumCPU(), 1 = sequential. Results are bitwise independent
+	// of it. The forward sweep walks its active window sequentially.
 	Workers int
 	// Truncate, when positive, turns on truncation in the forward sweeps:
 	// after each uniformisation step, active states whose probability mass
@@ -74,9 +75,10 @@ type Options struct {
 	// (budgetSplit reserves a third of the budget for it; the exact dropped
 	// mass is charged to the truncation/state-drop ledger term). The
 	// iterate of a forward sweep is a sub-distribution, so the dropped mass
-	// directly bounds the ℓ1 error of the result. Zero (the default)
-	// disables truncation and keeps every existing result bitwise
-	// unchanged. Backward sweeps ignore the field: their iterate is not a
+	// directly bounds the ℓ1 error of the result. Zero (the default) drops
+	// nothing and keeps the non-truncating budget split; the forward sweep
+	// then equals the sequential dense forward iteration bit for bit.
+	// Backward sweeps ignore the field: their iterate is not a
 	// distribution and small entries carry no mass bound.
 	Truncate float64
 	// SteadyDetect controls steady-state detection: when the sweep iterate
@@ -179,9 +181,10 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 	return w, nil
 }
 
-// sweep evaluates the uniformisation series Σ_n w(n)·vₙ with v₀ = v and
-// vₙ₊₁ = P·vₙ (forward = false) or vₙ₊₁ = vₙ·P (forward = true), returning
-// the accumulator and the number of matrix products actually applied.
+// sweep evaluates the backward uniformisation series Σ_n w(n)·vₙ with
+// v₀ = v and vₙ₊₁ = P·vₙ, returning the accumulator and the number of
+// matrix products actually applied. Forward series (row vectors) run
+// through sweepForwardTruncated instead.
 //
 // Steady-state detection: P is stochastic, so the iteration is
 // non-expansive in the ∞-norm. Once one application moves the iterate by
@@ -197,7 +200,7 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 //
 // Scratch vectors come from opts.Pool (nil-safe) and are returned to it;
 // the accumulator is pool-born and handed to the caller.
-func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opts Options, forward bool) ([]float64, int) {
+func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opts Options) ([]float64, int) {
 	n := p.Dim()
 	pool := opts.Pool
 	cur := pool.Get(n)
@@ -215,11 +218,7 @@ func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opt
 		if step == w.Right {
 			break
 		}
-		if forward {
-			p.MulVecTPar(next, cur, opts.Workers) // row vector: next = cur·P
-		} else {
-			p.MulVecPar(next, cur, opts.Workers) // column vector: next = P·cur
-		}
+		p.MulVecPar(next, cur, opts.Workers) // column vector: next = P·cur
 		products++
 		if detect {
 			if diff := sparse.MaxDiff(next, cur); diff < delta {
@@ -279,28 +278,21 @@ func DistributionFrom(m *mrm.MRM, init []float64, t float64, opts Options) ([]fl
 	if lambda == 0 {
 		lambda = m.UniformisationRate()
 	}
-	truncating := opts.Truncate > 0
 	span := opts.Obs.StartSpan("transient.uniformise")
 	p, err := opts.uniformised(m, lambda)
 	if err != nil {
 		return nil, fmt.Errorf("transient: %w", err)
 	}
-	fgEps, _, _ := opts.budgetSplit(truncating)
+	fgEps, _, _ := opts.budgetSplit(opts.Truncate > 0)
 	w, err := opts.poissonWeights(lambda*t, fgEps)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("transient: %w", err)
 	}
 	span = opts.Obs.StartSpan("transient.sweep")
-	var acc []float64
-	if truncating {
-		var dropped float64
-		acc, dropped, _ = sweepForwardTruncated(p, init, w, lambda*t, opts)
-		if opts.Obs != nil {
-			opts.Obs.Charge("truncation", "state-drop", dropped)
-		}
-	} else {
-		acc, _ = sweep(p, init, w, lambda*t, opts, true)
+	acc, dropped, _ := sweepForwardTruncated(p, init, w, lambda*t, opts)
+	if opts.Obs != nil {
+		opts.Obs.Charge("truncation", "state-drop", dropped)
 	}
 	span.End()
 	return acc, nil
@@ -355,7 +347,7 @@ func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float
 		return nil, fmt.Errorf("transient: %w", err)
 	}
 	span = opts.Obs.StartSpan("transient.sweep")
-	acc, _ := sweep(p, v, w, lambda*t, opts, false)
+	acc, _ := sweep(p, v, w, lambda*t, opts)
 	span.End()
 	return acc, nil
 }

@@ -10,25 +10,26 @@ import (
 	"github.com/performability/csrl/internal/sparse"
 )
 
-// sweepForwardTruncated is the truncating variant of the forward sweep:
-// Σ_n w(n)·vₙ with vₙ₊₁ = vₙ·P, where each step keeps only an active
-// window of states and drops entries whose mass lies below opts.Truncate,
-// as long as the cumulative dropped mass stays inside the budget share
-// reserved by budgetSplit. vₙ is a sub-distribution (v is one and P is
-// stochastic), so every dropped entry removes exactly its own mass from
-// all later iterates and from the accumulator: the total dropped mass is a
-// sound ℓ1 bound on the truncation error. Callers owe the ledger the
-// returned mass.
+// sweepForwardTruncated is the forward sweep: Σ_n w(n)·vₙ with
+// vₙ₊₁ = vₙ·P, where each step keeps only an active window of states.
+// With opts.Truncate positive it drops entries whose mass lies below the
+// threshold, as long as the cumulative dropped mass stays inside the
+// budget share reserved by budgetSplit. vₙ is a sub-distribution (v is one
+// and P is stochastic), so every dropped entry removes exactly its own
+// mass from all later iterates and from the accumulator: the total dropped
+// mass is a sound ℓ1 bound on the truncation error. Callers owe the ledger
+// the returned mass. At Truncate 0 nothing is dropped and the budget split
+// is the non-truncating one.
 //
 // The step kernel is a row-scatter over the active states via CSR row
 // views — the matrix is read only at the rows the window touches, which is
 // the whole point: cost per step is O(active·row-nnz), not O(nnz). The
 // active lists are kept in ascending state order and the accumulator
-// updates mirror the dense kernels' per-entry arithmetic, so with a
-// threshold too low to drop anything the result equals the dense forward
-// sweep bit for bit (the skipped entries are exact zeros, which add
-// nothing); steady-state detection runs the same |next−cur|∞ < δ test
-// over the union of the two windows.
+// updates mirror the dense kernels' per-entry arithmetic, so when nothing
+// is dropped the result equals the sequential dense forward iteration
+// (AXPY plus MulVecT per step) bit for bit — the skipped entries are exact
+// zeros, which add nothing; steady-state detection runs the same
+// |next−cur|∞ < δ test over the union of the two windows.
 //
 // The accumulator is pool-born and handed to the caller, along with the
 // dropped mass and the number of matrix passes.
@@ -52,7 +53,8 @@ func sweepForwardTruncated(p *sparse.CSR, v []float64, w *numeric.PoissonWeights
 		}
 	}
 	detect := opts.SteadyDetect.enabled()
-	_, steadyEps, truncEps := opts.budgetSplit(true)
+	truncating := opts.Truncate > 0
+	_, steadyEps, truncEps := opts.budgetSplit(truncating)
 	delta := steadyEps / q
 	thr := opts.Truncate
 	peak := len(curList)
@@ -94,7 +96,7 @@ func sweepForwardTruncated(p *sparse.CSR, v []float64, w *numeric.PoissonWeights
 		// window never loses a state that carries real mass.
 		keep := nextList[:0]
 		for _, t := range nextList {
-			if x := nextVals[t]; x < thr && dropped+x <= truncEps {
+			if x := nextVals[t]; truncating && x < thr && dropped+x <= truncEps {
 				dropped += x
 				droppedStates++
 				nextVals[t] = 0

@@ -7,6 +7,7 @@ import (
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/sparse"
 )
 
 // birthDeath builds an n-state chain 0 ⇄ 1 ⇄ … ⇄ n−1 with birth rate up
@@ -29,11 +30,44 @@ func birthDeath(t *testing.T, n int, up, down float64) *mrm.MRM {
 	return m
 }
 
+// denseForward is the sequential dense forward iteration: AXPY of every
+// weighted iterate, one full MulVecT per step and the steady-state test
+// over all n states, with the budget split the window sweep uses. It is
+// the oracle sweepForwardTruncated must match bit for bit whenever it
+// drops nothing.
+func denseForward(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opts Options) []float64 {
+	n := p.Dim()
+	cur := sparse.Clone(v)
+	next := make([]float64, n)
+	acc := make([]float64, n)
+	_, steadyEps, _ := opts.budgetSplit(opts.Truncate > 0)
+	delta := steadyEps / q
+	for step := 0; step <= w.Right; step++ {
+		if step >= w.Left {
+			sparse.AXPY(w.Weight(step), cur, acc)
+		}
+		if step == w.Right {
+			break
+		}
+		p.MulVecT(next, cur)
+		if opts.SteadyDetect.enabled() && sparse.MaxDiff(next, cur) < delta {
+			var tail float64
+			for k := step + 1; k <= w.Right; k++ {
+				tail += w.Weight(k)
+			}
+			sparse.AXPY(tail, next, acc)
+			break
+		}
+		cur, next = next, cur
+	}
+	return acc
+}
+
 // TestTruncatedSweepBitwiseDense is the no-regression contract of the
-// truncated kernel: with a threshold too small to ever drop an entry, its
-// accumulator must equal the dense forward sweep bit for bit on the same
-// matrix and Poisson table. Steady detection is off so both kernels sum
-// the identical weight window.
+// window sweep: when it drops nothing — a threshold too small to ever
+// drop an entry, or Truncate 0 as DistributionFrom runs it by default —
+// its accumulator must equal the dense forward iteration bit for bit on
+// the same matrix and Poisson table, with steady detection off and on.
 func TestTruncatedSweepBitwiseDense(t *testing.T) {
 	m := birthDeath(t, 30, 1.0, 0.5)
 	lambda := m.UniformisationRate()
@@ -41,24 +75,37 @@ func TestTruncatedSweepBitwiseDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := lambda * 2.5
-	w, err := numeric.FoxGlynn(q, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v := make([]float64, m.N())
 	v[0] = 1
-	opts := Options{Epsilon: 1e-9, SteadyDetect: SteadyOff}
-	dense, _ := sweep(p, v, w, q, opts, true)
-	opts.Truncate = 1e-300
-	got, dropped, _ := sweepForwardTruncated(p, v, w, q, opts)
-	if dropped != 0 {
-		t.Fatalf("threshold 1e-300 dropped mass %g", dropped)
-	}
-	for s := range dense {
-		if got[s] != dense[s] {
-			t.Errorf("state %d: truncated %v != dense %v (bitwise)", s, got[s], dense[s])
+	detected := false
+	for _, horizon := range []float64{2.5, 400} {
+		q := lambda * horizon
+		w, err := numeric.FoxGlynn(q, 1e-10)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, tc := range []struct {
+			truncate float64
+			steady   SteadyMode
+		}{{1e-300, SteadyOff}, {1e-300, SteadyAuto}, {0, SteadyOff}, {0, SteadyAuto}} {
+			rec := obs.New()
+			opts := Options{Epsilon: 1e-9, Truncate: tc.truncate, SteadyDetect: tc.steady, Obs: rec}
+			want := denseForward(p, v, w, q, opts)
+			got, dropped, _ := sweepForwardTruncated(p, v, w, q, opts)
+			if dropped != 0 {
+				t.Fatalf("t=%v truncate=%g dropped mass %g", horizon, tc.truncate, dropped)
+			}
+			for s := range want {
+				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+					t.Errorf("t=%v truncate=%g steady=%v state %d: window %v != dense %v (bitwise)",
+						horizon, tc.truncate, tc.steady, s, got[s], want[s])
+				}
+			}
+			detected = detected || rec.Report(opts.Epsilon).Counters["steady.detections"] > 0
+		}
+	}
+	if !detected {
+		t.Error("no case reached steady-state detection; the early exit went untested")
 	}
 }
 
@@ -81,9 +128,8 @@ func TestTruncatedSweepSoundBound(t *testing.T) {
 	}
 	v := make([]float64, m.N())
 	v[0] = 1
-	opts := Options{Epsilon: 1e-6, SteadyDetect: SteadyOff}
-	dense, _ := sweep(p, v, w, q, opts, true)
-	opts.Truncate = 1e-9
+	opts := Options{Epsilon: 1e-6, SteadyDetect: SteadyOff, Truncate: 1e-9}
+	dense := denseForward(p, v, w, q, opts)
 	got, dropped, _ := sweepForwardTruncated(p, v, w, q, opts)
 	if dropped <= 0 {
 		t.Fatalf("threshold 1e-9 on a %d-state chain dropped nothing", m.N())
