@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-github lint-consistency lint-dataflow bench-smoke bench-check serve-smoke fmt vet
+.PHONY: all build test race fuzz-smoke lint lint-github lint-consistency lint-dataflow bench-smoke bench-check serve-smoke fmt vet
 
 all: build lint test
 
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Native fuzzing, 10 s per target: the lump quotient, the Sericola fused
+# row pass and the discretisation's backward pass, each against its oracle.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzQuotient$$' -fuzztime=10s ./internal/lump
+	$(GO) test -run=NONE -fuzz='^FuzzRecursion$$' -fuzztime=10s ./internal/sericola
+	$(GO) test -run=NONE -fuzz='^FuzzBackward$$' -fuzztime=10s ./internal/discretise
 
 # The incremental cache keeps warm runs fast (per-package results keyed
 # by source content + dependency keys + the analyzer registry hash, under

@@ -821,10 +821,11 @@ func (c *Checker) untilTimeReward(phi, psi *mrm.StateSet, t, r float64) ([]float
 // bounds sharing one time bound: one Theorem 1 reduction serves the whole
 // batch, and with the Sericola algorithm the bounds advance together
 // through a single recursion over the memoised uniformised matrix
-// (sericola.ReachProbBatch). The Erlang and discretisation procedures have
-// no shared recursion to exploit — their models depend on the bound
-// resolution — so they loop, still sharing the reduction. results[ri] is
-// bitwise equal to an unbatched untilTimeReward(phi, psi, t, rs[ri]) call.
+// (sericola.ReachProbBatch). The Erlang procedure expands a model per
+// bound, so it loops. So does discretisation: one backward pass yields
+// every state's value for one bound, but each bound derives its own step
+// d. Both still share the reduction. results[ri] is bitwise equal to an
+// unbatched untilTimeReward(phi, psi, t, rs[ri]) call.
 func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []float64) ([][]float64, error) {
 	// The memoised reduction makes the corner evaluations of
 	// untilRectangle share one reduced model, which in turn lets the

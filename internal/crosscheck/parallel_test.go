@@ -72,9 +72,9 @@ func TestAdhocParallelEquivalence(t *testing.T) {
 
 	t.Run("discretise", func(t *testing.T) {
 		// Shorter bounds than Table 4 keep the d⁻² cost affordable under
-		// the race detector; same adhoc model, same code paths (the
-		// per-source fan-out plus the per-state inner loop above its
-		// grain: n·(R+1) = 9·1601).
+		// the race detector; same adhoc model, same backward pass (its
+		// parallel step is pinned by internal/discretise's
+		// TestInnerLoopParallelEquivalence).
 		dtb, drb := 2.0, 50.0
 		opts := discretise.Options{D: 1.0 / 32, Workers: 1}
 		seq, err := discretise.ReachProbAll(m, goal, dtb, drb, opts)

@@ -151,9 +151,9 @@ func TestReachProbAllParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestInnerLoopParallelEquivalence exercises the per-state parallel inner
-// loop (needs n·(R+1) ≥ recursionGrain) and checks bitwise agreement with
-// the sequential path.
+// TestInnerLoopParallelEquivalence exercises the parallel backward step
+// (needs every step's window of cells ≥ recursionGrain) and checks bitwise
+// agreement with the sequential path.
 func TestInnerLoopParallelEquivalence(t *testing.T) {
 	const n = 40
 	b := mrm.NewBuilder(n)
@@ -170,7 +170,10 @@ func TestInnerLoopParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	goal := m.Label("goal")
-	tb, rb, d := 1.0, 2.0, 1.0/128 // n·(R+1) = 40·257 ≫ grain
+	tb, rb, d := 1.0, 64.0, 1.0/128 // ≥ 39·(8193−127) cells per step > grain
+	if p, err := prepare(m, goal, tb, rb, Options{D: d}); err != nil || len(p.active)*(p.R+1-(p.T-1)*p.minRho) < recursionGrain {
+		t.Fatalf("the model no longer reaches recursionGrain (%v)", err)
+	}
 	seq, err := ReachProb(m, goal, tb, rb, 0, Options{D: d, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

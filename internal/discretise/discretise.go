@@ -4,14 +4,30 @@
 // Oper. Res. Lett. 26, 2000), a generalisation of Goyal–Tantawi. Both time
 // and accumulated reward are discretised in multiples of the same step d;
 // the joint density F^j(s,k) of being in state s at time j·d with
-// accumulated reward k·d is computed by the recursion
+// accumulated reward k·d is defined by the forward recursion
 //
 //	F^{j+1}(s,k) = F^j(s, k−ρ(s))·(1−E(s)·d) +
-//	               Σ_{s'} F^j(s', k−ρ(s'))·R(s',s)·d
+//	               Σ_{s'} F^j(s', k−ρ(s')−ι(s',s)/d)·R(s',s)·d
 //
 // which requires natural-number reward rates (rational rewards can be
 // scaled; see ScaleRewards). The method has no a-priori error bound; its
 // cost grows as d⁻² (Table 4).
+//
+// The forward recursion starts from a point mass, so it needs one run per
+// source state. What runs here is its adjoint: from the goal indicator
+// V^T(s,k) = 1[s ∈ goal] for k ≤ R = r/d, the backward step
+//
+//	V^j(s,k) = (1−E(s)·d)·V^{j+1}(s, k+ρ(s)) +
+//	           Σ_t R(s,t)·d·V^{j+1}(t, k+ρ(s)+ι(s,t)/d)
+//
+// (an index past R reads 0) satisfies Σ_k F^j(·,k)·V^j(·,k) = const, so
+// the forward value d·Σ_{s∈goal,k≤R} F^T(s,k) from source s equals
+// V¹(s, ρ(s)) (0 when ρ(s) > R): one backward pass of T−1 steps yields
+// every source's value. The two schemes agree up to summation order.
+// States with E(s) = 0 and ρ(s) = 0 (the Theorem 1 goal and fail states)
+// keep V^j = V^T, so their rows are written once; and since every other
+// state earns at least m = min ρ per step, level j is only read at
+// k ≥ j·m, so each step computes just that window.
 package discretise
 
 import (
@@ -44,16 +60,13 @@ type Options struct {
 	// approximation; the paper's Table 4 contains such a row (d = 1/16
 	// with max E(s) = 19.5), so reproduction needs this escape hatch.
 	AllowCoarse bool
-	// Workers bounds the parallelism of the recursion's per-state inner
-	// loop and of ReachProbAll's per-source fan-out: 0 = runtime.NumCPU(),
-	// 1 = the exact sequential legacy path. The per-state loop writes only
-	// state-owned rows, so results are bitwise independent of Workers.
+	// Workers bounds the parallelism of each backward step, which splits
+	// its (state, reward index) cells across workers: 0 = runtime.NumCPU(),
+	// 1 = sequential. Every cell is computed by one worker in a fixed
+	// order, so results are bitwise independent of Workers.
 	Workers int
-	// Pool, when non-nil, supplies the n·(R+1) recursion grids. Each
-	// worker of the ReachProbAll fan-out checks its grids out at the start
-	// of its chunk and back in at the end — never across the parallel
-	// region boundary — so the |S| per-source runs stop allocating fresh
-	// grids per source.
+	// Pool, when non-nil, supplies the two n·(R+1) grids of the backward
+	// pass; both go back to it when the pass ends.
 	Pool *sparse.VecPool
 	// Obs, when non-nil, receives the numerics-observability signals: the
 	// O(d) discretisation term as an indicative ledger entry (the method
@@ -71,13 +84,24 @@ var (
 
 const intTol = 1e-9
 
-// recursionGrain is the minimum state-space × reward-grid size n·(R+1)
-// before the recursion's inner loop fans out across workers.
-const recursionGrain = 4096
+// recursionGrain is the minimum number of cells a backward step computes,
+// (non-fixed states) × (reward indices in its window), before the step
+// fans out across workers. Set by measurement on 2 CPUs (Xeon, 4 MiB L2):
+// the step streams its rows from cache, and a 2-way split was no faster
+// up to 1.8e5 cells per step and 1.3–1.4× faster at 4.5e5 and 1.2e6. The
+// reduced station Q3 steps (≤ 5.8e4 cells) stay sequential.
+const recursionGrain = 1 << 18
 
+// maxGridCells caps n·(R+1): it is the largest float64 slice the Go
+// runtime can allocate (2^48 bytes) and keeps the byte count from
+// overflowing an int on 32-bit platforms.
+const maxGridCells = min(1<<45, math.MaxInt/8)
+
+// asNatural rounds v to a natural number. ok is false when v is negative,
+// not within intTol of an integer, NaN, or too large for an int.
 func asNatural(v float64) (int, bool) {
 	r := math.Round(v)
-	if r < 0 || math.Abs(v-r) > intTol*(1+math.Abs(v)) {
+	if !(r >= 0 && r < math.MaxInt) || math.Abs(v-r) > intTol*(1+math.Abs(v)) {
 		return 0, false
 	}
 	return int(r), true
@@ -118,97 +142,116 @@ func ScaleRewards(m *mrm.MRM, r, factor float64) (*mrm.MRM, float64, error) {
 	return scaled, r * factor, nil
 }
 
-// prepared carries the source-independent precomputation of the recursion:
-// validated grid dimensions, integer rewards, stay factors, the transposed
-// rate matrix and the integer impulse shifts. Building it once and running
-// it from many sources is what makes the |S|-source fan-out of
-// ReachProbAll cheap — the transpose and the validation used to be redone
-// per source.
+// prepared carries the validated inputs of the backward pass: grid
+// dimensions, integer rewards, stay factors and the per-edge index shifts.
 type prepared struct {
 	m       *mrm.MRM
 	goal    *mrm.StateSet
 	n, T, R int
 	d       float64
-	rho     []int
-	stay    []float64
-	rt      *sparse.CSR
-	impulse map[[2]int]int
-	workers int
+	// rho[s] is ρ(s), capped at R+1: any index past R reads 0.
+	rho  []int
+	stay []float64
+	// shift[off[s]+e] is ρ(s)+ι(s,t)/d for the e-th entry (t, R(s,t)) of
+	// RowRange(s), each term capped at R+1.
+	off, shift []int
+	// active lists the states whose rows change per step: E(s) > 0 or
+	// ρ(s) > 0. The others keep V^j = V^T, so their rows are written once.
+	// minRho is the least ρ over them (R+1 when there are none).
+	active []int
+	minRho int
+	// A step fans out over workers once it computes grain cells.
+	workers, grain int
 }
 
-// prepare validates the inputs and assembles the source-independent state.
+// prepare validates the inputs and assembles the state of the pass. Every
+// refusal comes before any grid allocation.
 func prepare(m *mrm.MRM, goal *mrm.StateSet, t, r float64, opts Options) (*prepared, error) {
 	n := m.N()
 	if goal.Universe() != n {
 		return nil, fmt.Errorf("discretise: goal universe %d for %d states", goal.Universe(), n)
 	}
 	d := opts.D
-	if d <= 0 {
+	if !(d > 0) {
 		return nil, fmt.Errorf("%w: d=%v", ErrStep, d)
 	}
-	if t <= 0 || r <= 0 {
+	if !(t > 0 && r > 0) {
 		return nil, fmt.Errorf("discretise: bounds t=%v r=%v must be positive", t, r)
 	}
-	T, okT := asNatural(t / d)
-	R, okR := asNatural(r / d)
-	if !okT || !okR || T == 0 || R == 0 {
-		return nil, fmt.Errorf("%w: t/d=%v and r/d=%v must be positive integers", ErrStep, t/d, r/d)
+	T, ok := asNatural(t / d)
+	if !ok || T == 0 {
+		return nil, fmt.Errorf("%w: time bound t=%v: t/d=%v must be a positive integer below 2^63", ErrStep, t, t/d)
+	}
+	R, ok := asNatural(r / d)
+	if !ok || R == 0 {
+		return nil, fmt.Errorf("%w: reward bound r=%v: r/d=%v must be a positive integer below 2^63", ErrStep, r, r/d)
+	}
+	if float64(n)*float64(R+1) > maxGridCells {
+		return nil, fmt.Errorf("%w: reward bound r=%v: grid of %d×%d cells exceeds %d", ErrStep, r, n, R+1, maxGridCells)
 	}
 
 	rho := make([]int, n)
+	stay := make([]float64, n)
+	var active []int
+	minRho := R + 1
 	for s := 0; s < n; s++ {
 		v, ok := asNatural(m.Reward(s))
 		if !ok {
 			return nil, fmt.Errorf("%w: ρ(%d)=%v", ErrRewards, s, m.Reward(s))
 		}
-		rho[s] = v
+		rho[s] = min(v, R+1)
 		if m.ExitRate(s)*d > 1 && !opts.AllowCoarse {
 			return nil, fmt.Errorf("%w: d=%v exceeds 1/E(%d)=%v (set AllowCoarse to force)", ErrStep, d, s, 1/m.ExitRate(s))
+		}
+		stay[s] = 1 - m.ExitRate(s)*d
+		if m.ExitRate(s) != 0 || v != 0 {
+			active = append(active, s)
+			minRho = min(minRho, rho[s])
 		}
 	}
 
 	// Impulse rewards: an explicit option overrides the model's own
-	// impulse matrix. A state reward ρ(s) advances the reward
-	// index by ρ(s) per time step (reward ρ(s)·d earned in a step of size
-	// d), whereas an impulse ι is a one-off quantity: its index shift is
-	// ι/d, which must therefore be integral.
+	// impulse matrix. A state reward ρ(s) advances the reward index by
+	// ρ(s) per time step (reward ρ(s)·d earned in a step of size d),
+	// whereas an impulse ι is a one-off quantity: its index shift is ι/d,
+	// which must therefore be integral.
 	impulseMat := opts.Impulses
 	if impulseMat == nil {
 		impulseMat = m.Impulses()
 	}
-	var impulse map[[2]int]int
 	if impulseMat != nil {
 		if impulseMat.Dim() != n {
 			return nil, fmt.Errorf("discretise: impulse matrix dimension %d for %d states", impulseMat.Dim(), n)
 		}
-		impulse = make(map[[2]int]int)
-		var impErr error
+		var err error
 		impulseMat.Each(func(i, j int, v float64) {
-			k, ok := asNatural(v / d)
-			if !ok {
-				impErr = fmt.Errorf("%w: impulse ι(%d,%d)=%v is not a multiple of d=%v", ErrRewards, i, j, v, d)
+			if _, ok := asNatural(v / d); ok || err != nil {
 				return
 			}
-			if k != 0 {
-				impulse[[2]int{i, j}] = k
+			err = fmt.Errorf("%w: impulse ι(%d,%d)=%v is not a multiple of d=%v", ErrRewards, i, j, v, d)
+			if v/d >= math.MaxInt {
+				err = fmt.Errorf("%w: impulse ι(%d,%d)=%v: ι/d=%v does not fit an int", ErrStep, i, j, v, v/d)
 			}
 		})
-		if impErr != nil {
-			return nil, impErr
+		if err != nil {
+			return nil, err
 		}
 	}
-
-	// Transposed rates: for target s we need the incoming transitions.
-	rt := m.Rates().Transpose()
-	stay := make([]float64, n)
+	rates := m.Rates()
+	off := make([]int, n+1)
+	shift := make([]int, 0, rates.NNZ())
 	for s := 0; s < n; s++ {
-		stay[s] = 1 - m.ExitRate(s)*d
+		cols, _ := rates.RowRange(s)
+		for _, c := range cols {
+			var k int
+			if impulseMat != nil {
+				k, _ = asNatural(impulseMat.At(s, c) / d)
+			}
+			shift = append(shift, rho[s]+min(k, R+1))
+		}
+		off[s+1] = len(shift)
 	}
 
-	workers := opts.Workers
-	if n*(R+1) < recursionGrain {
-		workers = 1
-	}
 	if opts.Obs != nil {
 		// The scheme's error is O(d) with an unknown constant (no a-priori
 		// bound, §4.3), so the step itself is the honest indicative entry.
@@ -217,169 +260,123 @@ func prepare(m *mrm.MRM, goal *mrm.StateSet, t, r float64, opts Options) (*prepa
 	}
 	return &prepared{
 		m: m, goal: goal, n: n, T: T, R: R, d: d,
-		rho: rho, stay: stay, rt: rt, impulse: impulse, workers: workers,
+		rho: rho, stay: stay, off: off, shift: shift, active: active, minRho: minRho,
+		workers: opts.Workers, grain: recursionGrain,
 	}, nil
 }
 
-// scratch holds the two recursion grids of one run, as row views over flat
-// pool-sized buffers so they can be checked out and in as two Gets/Puts.
-type scratch struct {
-	curFlat, nextFlat []float64
-	cur, next         [][]float64
-}
-
-// newScratch checks a grid pair out of pool (nil-safe).
-func (p *prepared) newScratch(pool *sparse.VecPool) *scratch {
+// run executes the backward pass and returns V¹(s, ρ(s)) for every state s.
+// The two grids are checked out of pool and back in before it returns.
+func (p *prepared) run(pool *sparse.VecPool) []float64 {
 	stride := p.R + 1
-	sc := &scratch{
-		curFlat:  pool.Get(p.n * stride),
-		nextFlat: pool.Get(p.n * stride),
-		cur:      make([][]float64, p.n),
-		next:     make([][]float64, p.n),
-	}
-	for s := 0; s < p.n; s++ {
-		sc.cur[s] = sc.curFlat[s*stride : (s+1)*stride]
-		sc.next[s] = sc.nextFlat[s*stride : (s+1)*stride]
-	}
-	return sc
-}
-
-// release checks the grid pair back in.
-func (sc *scratch) release(pool *sparse.VecPool) {
-	pool.Put(sc.curFlat)
-	pool.Put(sc.nextFlat)
-}
-
-// reachProb runs the recursion from the single initial state `from`,
-// reusing sc across calls. The arithmetic per (state, reward index) is
-// identical to the historical per-source implementation, so results are
-// bitwise unchanged and independent of both Workers and scratch reuse.
-func (p *prepared) reachProb(from int, sc *scratch) float64 {
-	// F[s][k], k = 0..R. F is a density in the reward dimension (1/d
-	// scaling), exactly as in the paper. The cur grid carries the previous
-	// run's values when the scratch is reused: clear it. The next grid
-	// needs no clearing — every step fully overwrites each row before
-	// accumulating into it.
-	for i := range sc.curFlat {
-		sc.curFlat[i] = 0
-	}
-	cur, next := sc.cur, sc.next
-	// Initialisation convention (audited against the Sericola procedure and
-	// the paper's Table 4; see TestConventionPinned): the state below is F¹,
-	// not F⁰ — the first time step is charged up front and approximated as
-	// jump-free, placing the point mass at reward index ρ(from) at time d.
-	// Together with the T−1 recursion steps of the loop below the final sum
-	// is therefore taken exactly at time T·d = t, with accumulated reward
-	// the left-Riemann sum Σ_{j=0}^{T−1} ρ(X_{j·d})·d of the reward path.
-	// This is the scheme the paper ran: with the "textbook" alternative
-	// (F⁰ = mass at reward 0, T recursion steps) the d = 1/32…1/128 values
-	// miss the published Table 4 entries by up to 1.3e-4, well outside the
-	// reproduction tolerance, while this convention matches them to ≤ 8e-6
-	// and halves the error against the exact Sericola value. Note that when
-	// the reward bound binds (R < T·max ρ), F¹-init with T−1 steps and
-	// F⁰-init with T steps coincide exactly — the extra shift and the extra
-	// step cancel — so the loop bound below is only "off by one" relative
-	// to a different, inferior initialisation convention.
-	if p.rho[from] <= p.R {
-		cur[from][p.rho[from]] = 1 / p.d
-	}
-	// If the very first step already exceeds the reward bound, the mass is
-	// absorbed by the barrier immediately and the probability is 0.
-
-	// The per-state inner loop writes only next[s] for its own s and reads
-	// cur (immutable within a step), so partitioning states across workers
-	// preserves the sequential arithmetic order per state: results are
-	// bitwise identical for every workers value.
-	R := p.R
-	for j := 1; j < p.T; j++ {
-		parallel.For(p.workers, p.n, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				fs := next[s]
-				shift := p.rho[s]
-				sStay := p.stay[s]
-				curS := cur[s]
-				for k := 0; k <= R; k++ {
-					var v float64
-					if k >= shift {
-						v = curS[k-shift] * sStay
-					}
-					fs[k] = v
-				}
-				p.rt.Row(s, func(src int, rate float64) {
-					w := rate * p.d
-					shiftSrc := p.rho[src]
-					if p.impulse != nil {
-						if imp, ok := p.impulse[[2]int{src, s}]; ok {
-							shiftSrc += imp
-						}
-					}
-					curSrc := cur[src]
-					for k := shiftSrc; k <= R; k++ {
-						fs[k] += curSrc[k-shiftSrc] * w
-					}
-				})
-			}
-		})
-		cur, next = next, cur
-	}
-
-	var sum float64
+	cur, next := pool.Get(p.n*stride), pool.Get(p.n*stride)
+	// V^T is the goal indicator. Rows of fixed states never change, so
+	// writing them into both grids here serves every step.
 	p.goal.Each(func(s int) {
-		for k := 0; k <= R; k++ {
-			sum += cur[s][k]
+		for k := s * stride; k < (s+1)*stride; k++ {
+			cur[k], next[k] = 1, 1
 		}
 	})
-	return sum * p.d
+	// Level j is only ever read at k ≥ j·m, m = minRho: the values sit at
+	// k = ρ(s) of level 1, and each step back adds ρ(s) ≥ m. So the step
+	// to level j computes k ≥ j·m only, and levels with j·m > R need none.
+	first := p.T - 1
+	if p.minRho > 0 {
+		first = min(first, p.R/p.minRho)
+	}
+	for j := first; j >= 1; j-- {
+		dst, src, klo := next, cur, j*p.minRho
+		cells, workers := len(p.active)*(stride-klo), p.workers
+		if cells < p.grain {
+			workers = 1
+		}
+		parallel.For(workers, cells, func(lo, hi int) { p.step(dst, src, klo, lo, hi) })
+		cur, next = next, cur
+	}
+	out := make([]float64, p.n)
+	for s := range out {
+		if p.rho[s] <= p.R {
+			out[s] = cur[s*stride+p.rho[s]]
+		}
+	}
+	pool.Put(cur)
+	pool.Put(next)
+	return out
+}
+
+// step writes dst = one backward step applied to src on the flat cells
+// [lo, hi) of the (active state, k ≥ klo) grid. Each cell is the stay term
+// plus the edge terms in row order, whichever chunk it falls in, so the
+// split never changes a bit.
+func (p *prepared) step(dst, src []float64, klo, lo, hi int) {
+	stride, width := p.R+1, p.R+1-klo
+	rates := p.m.Rates()
+	for c := lo; c < hi; {
+		s, k0 := p.active[c/width], klo+c%width
+		k1 := min(stride, k0+hi-c)
+		c += k1 - k0
+		base := s*stride + k0
+		out := dst[base : base+k1-k0]
+		// Cell k reads index k+shift, which is 0 past R: only the cells
+		// k < stride−shift read src.
+		in := max(0, min(k1, stride-p.rho[s])-k0)
+		clear(out[in:])
+		if in > 0 {
+			x := src[base+p.rho[s] : base+p.rho[s]+in]
+			for i, v := range x {
+				out[i] = p.stay[s] * v
+			}
+		}
+		cols, vals := rates.RowRange(s)
+		for e, t := range cols {
+			sh := p.shift[p.off[s]+e]
+			in := min(k1, stride-sh) - k0
+			if in <= 0 {
+				continue
+			}
+			w, from := vals[e]*p.d, t*stride+sh+k0
+			x, o := src[from:from+in], out[:in]
+			for i, v := range x {
+				o[i] += w * v
+			}
+		}
+	}
+}
+
+// reachAll runs the backward pass under the recursion span.
+func reachAll(m *mrm.MRM, goal *mrm.StateSet, t, r float64, opts Options) ([]float64, error) {
+	p, err := prepare(m, goal, t, r, opts)
+	if err != nil {
+		return nil, err
+	}
+	span := opts.Obs.StartSpan("discretise.recursion")
+	defer span.End()
+	return p.run(opts.Pool), nil
 }
 
 // ReachProb computes the Theorem 2 quantity Pr{Y_t ≤ r, X_t ∈ goal}
 // starting from the single initial state `from`, by the Tijms–Veldman
-// recursion with step opts.D. t and r must be (near-)multiples of d.
+// recursion with step opts.D. t and r must be (near-)multiples of d. It
+// reads one entry of the backward pass, so it equals ReachProbAll[from]
+// bit for bit.
 func ReachProb(m *mrm.MRM, goal *mrm.StateSet, t, r float64, from int, opts Options) (float64, error) {
 	if from < 0 || from >= m.N() {
 		return 0, fmt.Errorf("discretise: initial state %d out of range", from)
 	}
-	p, err := prepare(m, goal, t, r, opts)
+	values, err := reachAll(m, goal, t, r, opts)
 	if err != nil {
 		return 0, err
 	}
-	span := opts.Obs.StartSpan("discretise.recursion")
-	sc := p.newScratch(opts.Pool)
-	v := p.reachProb(from, sc)
-	sc.release(opts.Pool)
-	span.End()
 	opts.Obs.Counter("discretise.sources").Inc()
-	return v, nil
+	return values[from], nil
 }
 
-// ReachProbAll runs the recursion from every state. Because it is a
-// forward propagation from a point mass, this costs |S| independent runs;
-// they are embarrassingly parallel and fan out across opts.Workers, with
-// the source-independent precomputation (validation, rate transpose,
-// reward classification) shared by all of them. Each per-source run is
-// forced sequential (Workers: 1) — the fan-out already saturates the pool,
-// and run-level parallelism keeps the arithmetic of every run identical to
-// the sequential path. Each fan-out worker reuses one scratch grid pair
-// across all sources of its chunk, checked out of opts.Pool inside the
-// chunk, so the fan-out no longer allocates n·(R+1) floats per source.
+// ReachProbAll computes ReachProb from every state with one backward pass.
 func ReachProbAll(m *mrm.MRM, goal *mrm.StateSet, t, r float64, opts Options) ([]float64, error) {
-	inner := opts
-	inner.Workers = 1
-	p, err := prepare(m, goal, t, r, inner)
+	values, err := reachAll(m, goal, t, r, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := m.N()
-	out := make([]float64, n)
-	span := opts.Obs.StartSpan("discretise.recursion")
-	parallel.For(opts.Workers, n, func(lo, hi int) {
-		sc := p.newScratch(opts.Pool)
-		for s := lo; s < hi; s++ {
-			out[s] = p.reachProb(s, sc)
-		}
-		sc.release(opts.Pool)
-	})
-	span.End()
-	opts.Obs.Counter("discretise.sources").Add(int64(n))
-	return out, nil
+	opts.Obs.Counter("discretise.sources").Add(int64(m.N()))
+	return values, nil
 }

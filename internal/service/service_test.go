@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -515,5 +516,43 @@ func TestRecorderInOptionsRejected(t *testing.T) {
 	opts.Obs = obs.New()
 	if _, err := New(Options{Checker: opts}); err == nil {
 		t.Fatal("New accepted a shared recorder in Options.Checker.Obs")
+	}
+}
+
+// TestOverflowingRewardBoundRefusedServerKeepsServing uploads an impulse
+// model, which forces the discretisation procedure, and asks for a reward
+// bound whose grid index overflows an int. The check must come back as an
+// error naming the bound, and the server must answer the next check.
+func TestOverflowingRewardBoundRefusedServerKeepsServing(t *testing.T) {
+	_, ts, _, _ := newTestServer(t, -1)
+	doc := `{
+  "states": [
+    {"name": "b", "reward": 1, "labels": ["busy"], "init": 1},
+    {"name": "i", "labels": ["busy"]},
+    {"name": "g", "labels": ["goal"]}
+  ],
+  "transitions": [
+    {"from": "b", "to": "i", "rate": 2, "impulse": 0.5},
+    {"from": "i", "to": "g", "rate": 1},
+    {"from": "b", "to": "g", "rate": 1, "impulse": 1}
+  ]
+}`
+	resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader([]byte(doc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info ModelInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d, %v", resp.StatusCode, err)
+	}
+
+	status, _, apiErr := postCheck(t, ts.URL, CheckRequest{Model: info.Fingerprint, Formula: "P=? [ busy U{t<=1, r<=1e30} goal ]"})
+	if status != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, "r=1e+30") {
+		t.Fatalf("r<=1e30: status %d (%s), want 422 naming the bound", status, apiErr.Error)
+	}
+	status, out, apiErr := postCheck(t, ts.URL, CheckRequest{Model: info.Fingerprint, Formula: "P=? [ busy U{t<=1, r<=2} goal ]"})
+	if status != http.StatusOK || out.Value == nil || *out.Value <= 0 || *out.Value > 1 {
+		t.Fatalf("next check: status %d (%s), value %v", status, apiErr.Error, out.Value)
 	}
 }
